@@ -2,6 +2,46 @@
 
 namespace spx {
 
+AssemblyMap build_assembly_map(const SymbolicStructure& st,
+                               const Ordering& perm,
+                               std::span<const size_type> colptr,
+                               std::span<const index_t> rowind) {
+  const index_t n = st.num_cols();
+  SPX_CHECK_ARG(perm.size() == n &&
+                    colptr.size() == static_cast<std::size_t>(n) + 1 &&
+                    colptr.back() == static_cast<size_type>(rowind.size()),
+                "matrix/structure size mismatch");
+  AssemblyMap map(rowind.size());
+  for (index_t jold = 0; jold < n; ++jold) {
+    const index_t j = perm.old_to_new[jold];
+    const index_t p = st.panel_of_col[j];
+    const Panel& panel = st.panels[p];
+    const size_type lcol =
+        panel.storage_offset +
+        static_cast<size_type>(j - panel.col_begin) * panel.nrows;
+    for (size_type k = colptr[jold]; k < colptr[jold + 1]; ++k) {
+      const index_t r = perm.old_to_new[rowind[k]];
+      const auto slot = static_cast<std::size_t>(k);
+      if (r >= j) {
+        map[slot] = lcol + panel_row_position(panel, r);
+        continue;
+      }
+      // Upper entry A(r, j), r < j: the same three cases as initialize().
+      const index_t pr = st.panel_of_col[r];
+      if (pr == p) {
+        map[slot] = lcol + (r - panel.col_begin);
+      } else {
+        const Panel& prow = st.panels[pr];
+        map[slot] = ~(prow.storage_offset +
+                      static_cast<size_type>(r - prow.col_begin) *
+                          prow.nrows +
+                      panel_row_position(prow, j));
+      }
+    }
+  }
+  return map;
+}
+
 template <typename T>
 void FactorData<T>::initialize(const CscMatrix<T>& a_perm) {
   SPX_CHECK_ARG(a_perm.nrows() == st_->num_cols() &&

@@ -15,10 +15,45 @@
 
 #include "common/error.hpp"
 #include "common/factor_quality.hpp"
+#include "graph/ordering.hpp"
 #include "mat/csc.hpp"
 #include "symbolic/structure.hpp"
 
 namespace spx {
+
+/// Where every stored entry of an *unpermuted* input matrix lands in the
+/// factor storage, in the input's storage order.  A slot s >= 0 is an index
+/// into the L array; a negative slot encodes ~s, an index into the U^T
+/// array of the panel owning the entry's row (an upper entry outside the
+/// diagonal block; only LU stores it, the symmetric kinds skip it).  The
+/// map depends on the pattern and the analysis only, so it is built once
+/// per analysis and reused by every numeric factorization of that pattern.
+using AssemblyMap = std::vector<size_type>;
+
+/// Storage row of global row `r` inside `panel`; r must be in the panel's
+/// structure.  Binary search over blocks.
+inline index_t panel_row_position(const Panel& panel, index_t r) {
+  const auto& blocks = panel.blocks;
+  std::size_t lo = 0, hi = blocks.size();
+  while (lo + 1 < hi) {
+    const std::size_t mid = (lo + hi) / 2;
+    if (blocks[mid].row_begin <= r) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  SPX_DEBUG_ASSERT(blocks[lo].row_begin <= r && r < blocks[lo].row_end);
+  return blocks[lo].offset + (r - blocks[lo].row_begin);
+}
+
+/// Builds the assembly map of the pattern (colptr, rowind) under `perm`
+/// against the panel layout `st`: the same placement initialize() applies
+/// to the permuted matrix, computed without permuting it.
+AssemblyMap build_assembly_map(const SymbolicStructure& st,
+                               const Ordering& perm,
+                               std::span<const size_type> colptr,
+                               std::span<const index_t> rowind);
 
 /// Hook consulted before large factor allocations; lets tests and the
 /// fault-injection harness simulate memory exhaustion deterministically.
@@ -149,8 +184,30 @@ class FactorData {
 
   /// Fills the panels from the *permuted* matrix: the lower triangle goes
   /// to L; for LU the upper triangle goes to U^T panels and the diagonal
-  /// block keeps its upper part in L (it becomes U11 after getrf).
+  /// block keeps its upper part in L (it becomes U11 after getrf).  The
+  /// solvers assemble() through an AssemblyMap instead; this direct form
+  /// is the reference the map is tested against.
   void initialize(const CscMatrix<T>& a_perm);
+
+  /// Scatters the values of an unpermuted input matrix into the panels
+  /// through its assembly map, converting each to T (the fp32 path feeds
+  /// double values).  Writes only the mapped slots, so the storage must be
+  /// zero: freshly allocated, or reset().  Throws InvalidArgument unless
+  /// `values` has exactly one value per map slot.
+  template <typename S>
+  void assemble(const AssemblyMap& map, std::span<const S> values) {
+    SPX_CHECK_ARG(values.size() == map.size(),
+                  "assemble(): value count differs from the assembly map");
+    const bool lu = kind_ == Factorization::LU;
+    for (std::size_t k = 0; k < map.size(); ++k) {
+      const size_type s = map[k];
+      if (s >= 0) {
+        lval_[static_cast<std::size_t>(s)] = static_cast<T>(values[k]);
+      } else if (lu) {
+        uval_[static_cast<std::size_t>(~s)] = static_cast<T>(values[k]);
+      }
+    }
+  }
 
   /// Zeroes all values (so a FactorData can be refilled and refactored).
   void reset() {
@@ -162,18 +219,7 @@ class FactorData {
   /// Storage row of global row `r` inside panel `p`; r must be in the
   /// panel's structure.  Binary search over blocks.
   index_t row_position(index_t p, index_t r) const {
-    const auto& blocks = st_->panels[p].blocks;
-    std::size_t lo = 0, hi = blocks.size();
-    while (lo + 1 < hi) {
-      const std::size_t mid = (lo + hi) / 2;
-      if (blocks[mid].row_begin <= r) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    SPX_DEBUG_ASSERT(blocks[lo].row_begin <= r && r < blocks[lo].row_end);
-    return blocks[lo].offset + (r - blocks[lo].row_begin);
+    return panel_row_position(st_->panels[p], r);
   }
 
  private:

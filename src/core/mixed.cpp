@@ -6,24 +6,13 @@
 #include "core/solve.hpp"
 
 namespace spx {
-namespace {
-
-CscMatrix<real32_t> cast_to_float(const CscMatrix<real_t>& a) {
-  std::vector<real32_t> values(a.values().begin(), a.values().end());
-  return CscMatrix<real32_t>(
-      a.nrows(), a.ncols(),
-      std::vector<size_type>(a.colptr().begin(), a.colptr().end()),
-      std::vector<index_t>(a.rowind().begin(), a.rowind().end()),
-      std::move(values));
-}
-
-}  // namespace
 
 void MixedPrecisionSolver::adopt_analysis(
     std::shared_ptr<const Analysis> analysis, std::uint64_t digest) {
   SPX_CHECK_ARG(analysis != nullptr, "adopt_analysis(): null analysis");
   adopted_ = std::move(analysis);
   adopted_digest_ = digest;
+  assembly_map_.clear();
   factors_.reset();
 }
 
@@ -31,20 +20,26 @@ void MixedPrecisionSolver::factorize(const CscMatrix<real_t>& a,
                                      Factorization kind) {
   SPX_CHECK_ARG(a.nrows() == a.ncols(), "square matrix required");
   const std::uint64_t digest = spx::pattern_digest(a);
-  if (adopted_ != nullptr && adopted_digest_ == digest) {
-    analysis_ = adopted_;
-  } else {
-    analysis_ = std::make_shared<const Analysis>(analyze(a, options_));
+  std::shared_ptr<const Analysis> analysis =
+      adopted_ != nullptr && adopted_digest_ == digest
+          ? adopted_
+          : std::make_shared<const Analysis>(analyze(a, options_));
+  if (analysis != analysis_) {
+    // Factors and map of another analysis cannot be reused.
+    analysis_ = std::move(analysis);
+    assembly_map_.clear();
+    factors_.reset();
   }
   pattern_digest_ = digest;
-  factors_.reset();
+  if (factors_ != nullptr && factors_->kind() != kind) factors_.reset();
+  const bool reuse = factors_ != nullptr;
   a_ = std::make_unique<CscMatrix<real_t>>(a);
-  const CscMatrix<real32_t> af =
-      permute_symmetric(cast_to_float(a), analysis_->perm);
-  factors_ =
-      std::make_unique<FactorData<real32_t>>(analysis_->structure, kind);
-  factors_->initialize(af);
+  if (!reuse) {
+    factors_ =
+        std::make_unique<FactorData<real32_t>>(analysis_->structure, kind);
+  }
   try {
+    assemble(a, reuse);
     factorize_sequential(*factors_);
   } catch (...) {
     factors_.reset();  // like Solver: failure leaves "not factorized"
@@ -70,11 +65,8 @@ void MixedPrecisionSolver::refactorize(const CscMatrix<real_t>& a) {
             refactor_backup_.begin() + l.size() + u.size());
   auto prev_a = std::move(a_);
   a_ = std::make_unique<CscMatrix<real_t>>(a);
-  const CscMatrix<real32_t> af =
-      permute_symmetric(cast_to_float(a), analysis_->perm);
-  factors_->reset();
-  factors_->initialize(af);
   try {
+    assemble(a, true);
     factorize_sequential(*factors_);
   } catch (...) {
     factors_->restore_values(
@@ -86,6 +78,17 @@ void MixedPrecisionSolver::refactorize(const CscMatrix<real_t>& a) {
     a_ = std::move(prev_a);
     throw;
   }
+}
+
+void MixedPrecisionSolver::assemble(const CscMatrix<real_t>& a,
+                                    bool zero_fill) {
+  if (assembly_map_.empty()) {
+    assembly_map_ = build_assembly_map(analysis_->structure, analysis_->perm,
+                                       a.colptr(), a.rowind());
+  }
+  if (zero_fill) factors_->reset();
+  // The fp32 cast happens in the scatter: no float copy of A is made.
+  factors_->assemble(assembly_map_, a.values());
 }
 
 MixedSolveReport MixedPrecisionSolver::solve(std::span<const real_t> b,

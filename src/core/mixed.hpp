@@ -43,14 +43,17 @@ class MixedPrecisionSolver {
 
   /// Factorizes the float cast of `a` (analyzing its pattern first unless
   /// a matching analysis was adopted).  Keeps a reference copy of `a`
-  /// internally for refinement residuals.
+  /// internally for refinement residuals.  Like Solver::factorize(), a
+  /// repeat factorize of one (adopted) analysis and kind keeps the float
+  /// storage and scatters `a` through the assembly map, casting each
+  /// value; a failure drops the factors.
   void factorize(const CscMatrix<real_t>& a, Factorization kind);
 
-  /// Numeric-only re-factorization mirroring Solver::refactorize(): casts
-  /// the new values down and reruns the float sweep against the live
-  /// FactorData allocation.  Throws InvalidArgument before the first
-  /// factorize() or on a pattern mismatch; on numeric failure the
-  /// previous float factors (and reference matrix) roll back intact.
+  /// Numeric-only re-factorization mirroring Solver::refactorize(): the
+  /// same reuse as a repeat factorize(), plus the rollback -- on numeric
+  /// failure the previous float factors (and reference matrix) are
+  /// restored intact.  Throws InvalidArgument before the first
+  /// factorize() or on a pattern mismatch.
   void refactorize(const CscMatrix<real_t>& a);
 
   /// Solves A x = b to (near) double accuracy via refinement; `x` is
@@ -74,11 +77,17 @@ class MixedPrecisionSolver {
   }
 
  private:
+  /// Scatters `a` into factors_ (zero-filling reused storage first)
+  /// through assembly_map_, building the map on first use.
+  void assemble(const CscMatrix<real_t>& a, bool zero_fill);
+
   AnalysisOptions options_;
   std::shared_ptr<const Analysis> analysis_;
   std::shared_ptr<const Analysis> adopted_;  ///< from adopt_analysis()
   std::uint64_t adopted_digest_ = 0;
   std::uint64_t pattern_digest_ = 0;
+  /// Input-entry -> factor-slot map of analysis_; empty until built.
+  AssemblyMap assembly_map_;
   std::unique_ptr<FactorData<real32_t>> factors_;
   std::unique_ptr<CscMatrix<real_t>> a_;
   /// Rollback snapshot (L then U then D) reused across refactorize().

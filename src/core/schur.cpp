@@ -71,11 +71,12 @@ void SchurComplement<T>::compute(const CscMatrix<T>& a,
 
   // Partial factorization: factor interior panels, apply every update
   // (including those landing in the Schur block), never factor the block.
-  const CscMatrix<T> ap = permute_symmetric(a, analysis_->perm);
-  factors_ = std::make_unique<FactorData<T>>(analysis_->structure, kind);
-  factors_->initialize(ap);
-  Workspace<T> ws, prescale_ws;
   const SymbolicStructure& st = analysis_->structure;
+  factors_ = std::make_unique<FactorData<T>>(st, kind);
+  factors_->assemble(
+      build_assembly_map(st, analysis_->perm, a.colptr(), a.rowind()),
+      a.values());
+  Workspace<T> ws, prescale_ws;
   for (index_t p = 0; p < first_schur_panel_; ++p) {
     factor_panel(*factors_, p);
     const T* prescaled = nullptr;

@@ -60,7 +60,9 @@ void Solver<T>::analyze(const CscMatrix<T>& a) {
   analysis_ =
       std::make_shared<const Analysis>(spx::analyze(a, options_.analysis));
   pattern_digest_ = spx::pattern_digest(a);
-  factors_.reset();  // stale factors belong to the previous analysis
+  // Stale factors and their map belong to the previous analysis.
+  assembly_map_.clear();
+  factors_.reset();
   SPX_OBS({
     obs::MetricsRegistry& reg =
         obs::registry_or_global(options_.instr.metrics);
@@ -80,6 +82,7 @@ void Solver<T>::adopt_analysis(std::shared_ptr<const Analysis> analysis,
   SPX_CHECK_ARG(analysis != nullptr, "adopt_analysis(): null analysis");
   analysis_ = std::move(analysis);
   pattern_digest_ = digest;
+  assembly_map_.clear();
   factors_.reset();
 }
 
@@ -133,25 +136,19 @@ void Solver<T>::factorize(const CscMatrix<T>& a, Factorization kind) {
   SPX_OBS(span = obs::ScopedSpan(options_.instr.tracer, "solver.factorize",
                                  "service-", options_.instr.parent));
   Timer wall;
-  // Any failure below must leave the solver "analyzed, not factorized":
-  // drop stale factors first (they belong to the previous values), then
-  // roll back in the catch so factorize() can simply be retried.
-  factors_.reset();
+  // Any failure below must leave the solver "analyzed, not factorized": the
+  // catch drops the factors so factorize() can simply be retried.  Factors
+  // held here belong to this analysis (analyze/adopt_analysis drop them),
+  // so storage of the same kind is reused; a new kind allocates afresh.
   refine_matrix_.reset();
-  const CscMatrix<T> ap = permute_symmetric(a, analysis_->perm);
-  factors_ = std::make_unique<FactorData<T>>(analysis_->structure, kind,
-                                             options_.instr.fault);
-  factors_->initialize(ap);
-  // Static-pivot floor, scaled by ||A|| = max |a_ij| of the input.
-  double anorm = 0.0;
-  for (const T& v : ap.values()) {
-    anorm = std::max(anorm, static_cast<double>(magnitude<T>(v)));
+  if (factors_ != nullptr && factors_->kind() != kind) factors_.reset();
+  const bool reuse = factors_ != nullptr;
+  if (!reuse) {
+    factors_ = std::make_unique<FactorData<T>>(analysis_->structure, kind,
+                                               options_.instr.fault);
   }
-  factors_->set_pivot_policy(
-      options_.pivot_threshold > 0 ? options_.pivot_threshold * anorm : 0.0,
-      anorm);
-
   try {
+    assemble(a, reuse, span.context());
     factorize_numeric(span.context());
   } catch (...) {
     stats_.quality = factors_->quality();  // keep the post-mortem record
@@ -230,17 +227,8 @@ void Solver<T>::refactorize(const CscMatrix<T>& a) {
   const FactorQuality prev_quality = factors_->quality();
   std::unique_ptr<CscMatrix<T>> prev_refine = std::move(refine_matrix_);
 
-  const CscMatrix<T> ap = permute_symmetric(a, analysis_->perm);
-  factors_->reset();
-  factors_->initialize(ap);
-  double anorm = 0.0;
-  for (const T& v : ap.values()) {
-    anorm = std::max(anorm, static_cast<double>(magnitude<T>(v)));
-  }
-  factors_->set_pivot_policy(
-      options_.pivot_threshold > 0 ? options_.pivot_threshold * anorm : 0.0,
-      anorm);
   try {
+    assemble(a, true, span.context());
     factorize_numeric(span.context());
   } catch (...) {
     factors_->restore_values(
@@ -288,6 +276,30 @@ void Solver<T>::refactorize(const CscMatrix<T>& a) {
           .inc();
     }
   });
+}
+
+template <typename T>
+void Solver<T>::assemble(const CscMatrix<T>& a, bool zero_fill,
+                         obs::SpanContext parent) {
+  {
+    obs::ScopedSpan span;
+    SPX_OBS(span = obs::ScopedSpan(options_.instr.tracer, "solver.assemble",
+                                   "service-", parent));
+    if (assembly_map_.empty()) {
+      assembly_map_ = build_assembly_map(analysis_->structure, analysis_->perm,
+                                         a.colptr(), a.rowind());
+    }
+    if (zero_fill) factors_->reset();
+    factors_->assemble(assembly_map_, a.values());
+  }
+  // Static-pivot floor, scaled by ||A|| = max |a_ij| of the input.
+  double anorm = 0.0;
+  for (const T& v : a.values()) {
+    anorm = std::max(anorm, static_cast<double>(magnitude<T>(v)));
+  }
+  factors_->set_pivot_policy(
+      options_.pivot_threshold > 0 ? options_.pivot_threshold * anorm : 0.0,
+      anorm);
 }
 
 template <typename T>

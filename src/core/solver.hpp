@@ -10,10 +10,13 @@
 //
 // The analyze step (ordering + symbolic factorization) is reusable across
 // factorizations of matrices with the same pattern -- static pivoting
-// makes the structure value-independent (paper §III).  When the values
-// drift but the pattern holds (time stepping, Newton loops),
-// refactorize() reruns only the numeric sweep against the live FactorData
-// allocation.  The lifecycle is strict and misuse fails loudly:
+// makes the structure value-independent (paper §III).  A repeat
+// factorize() of one analysis and kind reuses the factor storage and
+// scatters the input through an assembly map built once per analysis:
+// no allocation and no permuted copy of the matrix precede the numeric
+// sweep.  refactorize() does the same and adds a rollback: a failure
+// keeps the previous factors servable.  The lifecycle is strict and
+// misuse fails loudly:
 // factorize() throws before analyze() or when the matrix pattern differs
 // from the analyzed one, refactorize() throws before the first
 // factorize(), solve() throws before factorize(), and re-analyzing
@@ -131,23 +134,28 @@ class Solver {
                       std::uint64_t digest);
 
   /// Numerical factorization of `a`, whose pattern must be the analyzed
-  /// one.  Throws InvalidArgument before analyze() or on a pattern
-  /// mismatch, and NumericalError on breakdown (an indefinite LL^T pivot,
-  /// or any bad pivot when pivot_threshold == 0).  On ANY failure the
-  /// solver rolls back to "analyzed, not factorized": factorize() can be
-  /// retried (e.g. with different options) without re-analyzing.
+  /// one.  The factor storage is kept while the solver holds factors of
+  /// the same analysis and kind: it is zero-filled in place and `a` is
+  /// scattered into it through the assembly map.  Only the first
+  /// factorize after analyze()/adopt_analysis(), the one after a failed
+  /// factorize, and a change of kind allocate (and consult the
+  /// AllocationHook).  Throws InvalidArgument before analyze() or on a
+  /// pattern mismatch, and NumericalError on breakdown (an indefinite
+  /// LL^T pivot, or any bad pivot when pivot_threshold == 0).  On ANY
+  /// failure the solver drops its factors and rolls back to "analyzed,
+  /// not factorized": factorize() can be retried (e.g. with different
+  /// options) without re-analyzing.
   void factorize(const CscMatrix<T>& a, Factorization kind);
 
   /// Numeric-only re-factorization: ingests the new values of `a` (whose
-  /// pattern must be the factorized one) while reusing the cached analysis
-  /// AND the already-allocated FactorData -- no re-analyze, no re-alloc.
-  /// This is the time-stepping / Newton-loop fast path: the symbolic side
-  /// is value-independent under static pivoting, so only the numeric sweep
-  /// reruns.  Throws InvalidArgument before the first factorize() (the
-  /// fast path has nothing to reuse) and on a pattern-digest mismatch.
-  /// On numeric failure the PREVIOUS factors are rolled back intact --
-  /// unlike factorize(), a failed refactorize leaves the solver still
-  /// factorized and servable with the old values.
+  /// pattern must be the factorized one) with the current kind, reusing
+  /// the analysis, the assembly map and the FactorData allocation as a
+  /// repeat factorize() does.  The difference is the rollback: the values
+  /// are backed up first, and on numeric failure the PREVIOUS factors are
+  /// restored intact -- a failed refactorize leaves the solver still
+  /// factorized and servable with the old values.  Throws
+  /// InvalidArgument before the first factorize() and on a pattern-digest
+  /// mismatch.
   void refactorize(const CscMatrix<T>& a);
 
   /// In-place solve of A x = b using the current factors.  When the
@@ -212,6 +220,11 @@ class Solver {
 
  private:
   void load_perf_model();
+  /// Fills factors_ with the values of `a` (zero-filling reused storage
+  /// first) through assembly_map_, building the map on first use, and
+  /// arms the static-pivot floor; spans parent under `parent`.
+  void assemble(const CscMatrix<T>& a, bool zero_fill,
+                obs::SpanContext parent);
   /// Runs the scheduler/driver (or the sequential loop) on factors_,
   /// parenting driver spans under `parent` (the factorize span).
   void factorize_numeric(obs::SpanContext parent);
@@ -227,6 +240,9 @@ class Solver {
   SolverOptions options_;
   std::shared_ptr<const Analysis> analysis_;
   std::uint64_t pattern_digest_ = 0;
+  /// Input-entry -> factor-slot map of the analyzed pattern; empty until
+  /// the first factorize() of the analysis builds it.
+  AssemblyMap assembly_map_;
   std::unique_ptr<FactorData<T>> factors_;
   Factorization kind_ = Factorization::LLT;
   RunStats stats_;

@@ -55,10 +55,3 @@ inline void set_enabled(bool on) {
   do {                     \
   } while (0)
 #endif
-
-// Reading a [[deprecated]] compatibility alias inside the library (to
-// honor it) must not warn; legacy *callers* setting the field still do.
-#define SPX_SUPPRESS_DEPRECATED_BEGIN \
-  _Pragma("GCC diagnostic push")      \
-  _Pragma("GCC diagnostic ignored \"-Wdeprecated-declarations\"")
-#define SPX_SUPPRESS_DEPRECATED_END _Pragma("GCC diagnostic pop")

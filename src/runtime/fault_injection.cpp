@@ -127,7 +127,8 @@ void FaultInjector::on_transfer_start() {
 
 bool FaultInjector::fail_alloc(std::size_t /*bytes*/) {
   if (plan_.action != FaultAction::AllocFail) return false;
-  // Factorize performs one factor allocation per attempt, so under
+  // Factorize performs at most one factor allocation per attempt (a
+  // repeat of one analysis and kind reuses its storage), so under
   // AllocFail the first allocation after (re)arming is the victim.
   if (started_.fetch_add(1, std::memory_order_relaxed) != 0) return false;
   fired_.fetch_add(1, std::memory_order_relaxed);

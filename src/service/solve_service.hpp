@@ -22,8 +22,7 @@
 //     panel updates instead of per-RHS GEMVs).
 //
 // All submits take one RequestOptions struct (tenant, deadline,
-// precision, nrhs, trace, on_complete); the old positional submit_*
-// signatures remain as deprecated forwarding shims for one release.
+// precision, nrhs, trace, on_complete).
 // Every ticket supports cancel(); deadlines expire requests that waited
 // too long; every result carries RequestStats (queue wait, cache outcome,
 // factorize/solve wall time, precision served, scheduler RunStats)
@@ -283,33 +282,6 @@ class SolveService {
   /// produce Rejected/Expired results.
   Ticket<SolveResult> submit_solve(RequestOptions req, FactorHandle factor,
                                    std::vector<real_t> rhs);
-
-  // ---- deprecated positional shims (one release) -------------------
-  [[deprecated("pass a RequestOptions instead")]] Ticket<FactorizeResult>
-  submit_factorize(std::string tenant,
-                   std::shared_ptr<const CscMatrix<real_t>> a,
-                   Factorization kind, double deadline_s = 0,
-                   obs::SpanContext trace = {},
-                   std::function<void()> on_complete = {}) {
-    RequestOptions req;
-    req.tenant = std::move(tenant);
-    req.deadline_s = deadline_s;
-    req.trace = trace;
-    req.on_complete = std::move(on_complete);
-    return submit_factorize(std::move(req), std::move(a), kind);
-  }
-  [[deprecated("pass a RequestOptions instead")]] Ticket<SolveResult>
-  submit_solve(std::string tenant, FactorHandle factor,
-               std::vector<real_t> rhs, double deadline_s = 0,
-               obs::SpanContext trace = {},
-               std::function<void()> on_complete = {}) {
-    RequestOptions req;
-    req.tenant = std::move(tenant);
-    req.deadline_s = deadline_s;
-    req.trace = trace;
-    req.on_complete = std::move(on_complete);
-    return submit_solve(std::move(req), std::move(factor), std::move(rhs));
-  }
 
   /// Blocking conveniences (submit + get).
   FactorizeResult factorize(const std::string& tenant,

@@ -11,6 +11,7 @@
 #include "mat/mm_io.hpp"
 #include "mat/triplets.hpp"
 #include "runtime/machine.hpp"
+#include "test_support.hpp"
 
 namespace spx {
 namespace {
@@ -253,6 +254,90 @@ TEST(SolverLifecycle, ReanalyzeInvalidatesStaleFactors) {
   EXPECT_THROW(solver.solve(b), InvalidArgument);
   solver.factorize(b2, Factorization::LLT);
   EXPECT_NO_THROW(solver.solve(b));
+}
+
+/// Counts the factor allocations a solver asks for; never fails one.
+class AllocationCounter : public FaultInjector {
+ public:
+  bool fail_alloc(std::size_t bytes) override {
+    ++allocations;
+    return FaultInjector::fail_alloc(bytes);
+  }
+  int allocations = 0;
+};
+
+TEST(SolverLifecycle, RepeatFactorizeAllocatesOnlyForANewAnalysisOrKind) {
+  AllocationCounter counter;
+  SolverOptions opts;
+  opts.runtime = RuntimeKind::Sequential;
+  opts.instr.fault = &counter;
+  Solver<real_t> solver(opts);
+  const auto a = gen::grid2d_laplacian(8, 8);
+  solver.analyze(a);
+  solver.factorize(a, Factorization::LLT);
+  EXPECT_EQ(counter.allocations, 1);
+  solver.factorize(a, Factorization::LU);  // new kind: new storage
+  EXPECT_EQ(counter.allocations, 2);
+  const real_t* storage = solver.factor_data().lvalues().data();
+  solver.factorize(a, Factorization::LU);  // same kind: kept
+  EXPECT_EQ(counter.allocations, 2);
+  EXPECT_EQ(solver.factor_data().lvalues().data(), storage);
+  solver.refactorize(a);
+  EXPECT_EQ(counter.allocations, 2);
+  // A new analysis drops the factors: the next factorize allocates.
+  solver.analyze(a);
+  solver.factorize(a, Factorization::LU);
+  EXPECT_EQ(counter.allocations, 3);
+  solver.adopt_analysis(solver.analysis_shared(), solver.pattern_digest());
+  solver.factorize(a, Factorization::LU);
+  EXPECT_EQ(counter.allocations, 4);
+  // Restored factors were never assembled: refactorize builds the map on
+  // first use and keeps the restored storage.
+  const FactorData<real_t>& f = solver.factor_data();
+  const std::vector<real_t> l(f.lvalues().begin(), f.lvalues().end());
+  const std::vector<real_t> u(f.uvalues().begin(), f.uvalues().end());
+  const FactorQuality quality = f.quality();
+  solver.adopt_analysis(solver.analysis_shared(), solver.pattern_digest());
+  solver.restore_factors(Factorization::LU, l, u, {}, quality);
+  EXPECT_EQ(counter.allocations, 5);
+  solver.refactorize(a);
+  EXPECT_EQ(counter.allocations, 5);
+  std::vector<real_t> b(static_cast<std::size_t>(a.ncols()), 1.0);
+  std::vector<real_t> x = b;
+  solver.solve(x);
+  EXPECT_LT(test::relative_residual<real_t>(a, x, b), 1e-12);
+}
+
+TEST(SolverLifecycle, FailedFactorizeDropsFactorsAndAllocatesAgain) {
+  FaultInjector fault;  // disarmed until the third factorize
+  SolverOptions opts;
+  opts.runtime = RuntimeKind::Sequential;
+  opts.pivot_threshold = 0;  // a negative LL^T pivot throws
+  opts.instr.fault = &fault;
+  Solver<real_t> solver(opts);
+  const auto a = gen::grid2d_laplacian(8, 8);
+  std::vector<real_t> negated(a.values().begin(), a.values().end());
+  for (real_t& v : negated) v = -v;
+  const CscMatrix<real_t> bad(
+      a.nrows(), a.ncols(),
+      std::vector<size_type>(a.colptr().begin(), a.colptr().end()),
+      std::vector<index_t>(a.rowind().begin(), a.rowind().end()),
+      std::move(negated));
+  solver.analyze(a);
+  solver.factorize(a, Factorization::LLT);
+  // The failure happens in storage reused from the first factorize.
+  EXPECT_THROW(solver.factorize(bad, Factorization::LLT), NumericalError);
+  EXPECT_FALSE(solver.factorized());
+  // So the next factorize allocates, which the armed fault kills.
+  fault.rearm(FaultPlan{FaultAction::AllocFail});
+  EXPECT_THROW(solver.factorize(a, Factorization::LLT), std::bad_alloc);
+  EXPECT_EQ(fault.fired_count(), 1);
+  EXPECT_FALSE(solver.factorized());
+  solver.factorize(a, Factorization::LLT);  // AllocFail fires only once
+  std::vector<real_t> b(static_cast<std::size_t>(a.ncols()), 1.0);
+  std::vector<real_t> x = b;
+  solver.solve(x);
+  EXPECT_LT(test::relative_residual<real_t>(a, x, b), 1e-12);
 }
 
 }  // namespace

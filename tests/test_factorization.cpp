@@ -3,6 +3,8 @@
 // strategies, all orderings, real and complex scalars.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/sequential.hpp"
 #include "mat/generators.hpp"
 #include "mat/triplets.hpp"
@@ -134,6 +136,8 @@ TEST_P(FactorConfigs, LuResidualSmall) {
   EXPECT_LT(r, kTol);
 }
 
+// ctest runs the first seven entries by index under the fixed names that
+// tests/CMakeLists.txt gives them; keep their order, append new ones.
 INSTANTIATE_TEST_SUITE_P(
     VariantsAndOrderings, FactorConfigs,
     ::testing::Values(
@@ -230,6 +234,104 @@ TEST(FactorData, RowPositionFindsAllStructureRows) {
       }
     }
   }
+}
+
+template <typename T>
+void expect_same_bytes(std::span<const T> want, std::span<const T> got,
+                       const char* array) {
+  ASSERT_EQ(want.size(), got.size()) << array;
+  if (want.empty()) return;  // unused array: data() may be null
+  EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size_bytes()), 0)
+      << array;
+}
+
+/// Assembling `values` (one per stored entry of `a`, cast to T) through
+/// the assembly map must fill exactly the bytes initialize() writes from
+/// the permuted matrix.
+template <typename T, typename S>
+void expect_assembly_matches_initialize(const CscMatrix<S>& a,
+                                        const Analysis& an,
+                                        Factorization kind) {
+  const std::vector<T> cast(a.values().begin(), a.values().end());
+  const CscMatrix<T> at(
+      a.nrows(), a.ncols(),
+      std::vector<size_type>(a.colptr().begin(), a.colptr().end()),
+      std::vector<index_t>(a.rowind().begin(), a.rowind().end()), cast);
+  FactorData<T> want(an.structure, kind);
+  want.initialize(permute_symmetric(at, an.perm));
+  FactorData<T> got(an.structure, kind);
+  got.assemble(
+      build_assembly_map(an.structure, an.perm, a.colptr(), a.rowind()),
+      a.values());
+  expect_same_bytes(want.lvalues(), got.lvalues(), "L");
+  expect_same_bytes(want.uvalues(), got.uvalues(), "U");
+  expect_same_bytes(want.dvalues(), got.dvalues(), "D");
+}
+
+TEST(FactorData, AssemblyMapMatchesInitializeOfThePermutedMatrix) {
+  const auto spd = gen::grid3d_laplacian(5, 5, 5);
+  const Analysis an_spd = analyze(spd);
+  expect_assembly_matches_initialize<real_t>(spd, an_spd, Factorization::LLT);
+  expect_assembly_matches_initialize<real32_t>(spd, an_spd,
+                                               Factorization::LLT);
+  Rng rng(34);
+  const auto indef = gen::random_sym_indefinite(90, 0.05, rng);
+  const Analysis an_indef = analyze(indef);
+  expect_assembly_matches_initialize<real_t>(indef, an_indef,
+                                             Factorization::LDLT);
+  expect_assembly_matches_initialize<real32_t>(indef, an_indef,
+                                               Factorization::LDLT);
+  // Unsymmetric values: a U^T slot swapped with its L mirror shows.
+  const auto uns = gen::random_unsym(100, 0.06, rng);
+  const Analysis an_uns = analyze(uns);
+  expect_assembly_matches_initialize<real_t>(uns, an_uns, Factorization::LU);
+  expect_assembly_matches_initialize<real32_t>(uns, an_uns,
+                                               Factorization::LU);
+  const auto cd = gen::convection_diffusion3d(6, 6, 6, 15.0);
+  expect_assembly_matches_initialize<real_t>(cd, analyze(cd),
+                                             Factorization::LU);
+  const auto helm = gen::helmholtz3d(5, 5, 4);
+  expect_assembly_matches_initialize<complex_t>(helm, analyze(helm),
+                                                Factorization::LDLT);
+  const auto filt = gen::filter3d(4, 4, 4);
+  expect_assembly_matches_initialize<complex_t>(filt, analyze(filt),
+                                                Factorization::LU);
+
+  // A Schur tail: the last grid row stays an unmerged trailing block
+  // (made a clique in the analyzed pattern, as SchurComplement does).
+  const index_t nx = 9;
+  const auto grid = gen::grid2d_laplacian(nx, nx);
+  const index_t n = grid.ncols();
+  Triplets<real_t> aug(n, n);
+  for (index_t j = 0; j < n; ++j) {
+    for (const index_t r : grid.col_rows(j)) aug.add(r, j, 1.0);
+  }
+  for (index_t x = n - nx; x < n; ++x) {
+    for (index_t y = x + 1; y < n; ++y) aug.add_sym(x, y, 1.0);
+  }
+  const Analysis an_tail = analyze_ordered(
+      Graph::from_pattern(aug.to_csc()), Ordering::identity(n), {}, nx);
+  for (const Factorization kind :
+       {Factorization::LLT, Factorization::LDLT, Factorization::LU}) {
+    expect_assembly_matches_initialize<real_t>(grid, an_tail, kind);
+  }
+}
+
+TEST(FactorData, AssembleRejectsAWronglySizedValueSpan) {
+  const auto a = gen::grid2d_laplacian(6, 6);
+  const Analysis an = analyze(a);
+  const AssemblyMap map =
+      build_assembly_map(an.structure, an.perm, a.colptr(), a.rowind());
+  ASSERT_EQ(map.size(), static_cast<std::size_t>(a.nnz()));
+  FactorData<real_t> f(an.structure, Factorization::LU);
+  const std::vector<real_t> values(a.values().begin(), a.values().end());
+  EXPECT_THROW(f.assemble(map, std::span<const real_t>(values).first(
+                                   values.size() - 1)),
+               InvalidArgument);
+  std::vector<real_t> longer = values;
+  longer.push_back(1.0);
+  EXPECT_THROW(f.assemble(map, std::span<const real_t>(longer)),
+               InvalidArgument);
 }
 
 // Larger mixed test: every kind on a moderately big 3D problem.

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
 #include <map>
 #include <thread>
 
@@ -384,6 +386,79 @@ TEST(RuntimeNumerics, RuntimesProduceSameFactorsAsSequential) {
           EXPECT_NEAR(l1[i + (std::size_t)j * panel.nrows],
                       l2[i + (std::size_t)j * panel.nrows], 1e-10)
               << to_string(rt) << " panel " << p;
+        }
+      }
+    }
+  }
+}
+
+/// Same pattern as `a`, diagonal values scaled up and off-diagonal ones
+/// down by up to 20% (dominance, and so definiteness, holds); mirrored
+/// entries of a symmetric `a` keep equal values.
+CscMatrix<real_t> drifted(const CscMatrix<real_t>& a, bool symmetric) {
+  std::vector<real_t> vals(a.values().begin(), a.values().end());
+  for (index_t j = 0; j < a.ncols(); ++j) {
+    const auto rows = a.col_rows(j);
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      const index_t r = rows[k];
+      const index_t lo = symmetric ? std::min(r, j) : r;
+      const index_t hi = symmetric ? std::max(r, j) : j;
+      const double t = 0.1 * (1.0 + std::sin(0.7 * lo + 1.3 * hi));
+      vals[static_cast<std::size_t>(a.colptr()[j]) + k] *=
+          r == j ? 1.0 + t : 1.0 - t;
+    }
+  }
+  return CscMatrix<real_t>(
+      a.nrows(), a.ncols(),
+      std::vector<size_type>(a.colptr().begin(), a.colptr().end()),
+      std::vector<index_t>(a.rowind().begin(), a.rowind().end()),
+      std::move(vals));
+}
+
+// A repeat factorize refills the storage kept from the first one; its
+// factors must equal a fresh solver's: bit for bit on the sequential
+// runtime, within the runtimes' reordering tolerance on the threaded ones.
+TEST(RuntimeNumerics, RepeatFactorizeMatchesAFreshSolver) {
+  const auto spd = gen::grid3d_laplacian(5, 5, 5);
+  const auto uns = gen::convection_diffusion3d(5, 5, 5, 15.0);
+  const struct {
+    const CscMatrix<real_t>* a;
+    Factorization kind;
+  } cases[] = {{&spd, Factorization::LLT},
+               {&spd, Factorization::LDLT},
+               {&uns, Factorization::LU}};
+  for (const RuntimeKind rt : {RuntimeKind::Sequential, RuntimeKind::Native,
+                               RuntimeKind::Starpu, RuntimeKind::Parsec}) {
+    SolverOptions opts;
+    opts.runtime = rt;
+    opts.num_threads = 4;
+    for (const auto& c : cases) {
+      const bool symmetric = c.kind != Factorization::LU;
+      const CscMatrix<real_t> next = drifted(*c.a, symmetric);
+      Solver<real_t> reused(opts);
+      reused.analyze(*c.a);
+      reused.factorize(*c.a, c.kind);
+      reused.factorize(next, c.kind);
+      Solver<real_t> fresh(opts);
+      fresh.analyze(next);
+      fresh.factorize(next, c.kind);
+      const FactorData<real_t>& got = reused.factor_data();
+      const FactorData<real_t>& want = fresh.factor_data();
+      const std::pair<std::span<const real_t>, std::span<const real_t>>
+          arrays[] = {{want.lvalues(), got.lvalues()},
+                      {want.uvalues(), got.uvalues()},
+                      {want.dvalues(), got.dvalues()}};
+      for (const auto& [w, g] : arrays) {
+        ASSERT_EQ(w.size(), g.size());
+        if (w.empty()) continue;  // unused array: data() may be null
+        if (rt == RuntimeKind::Sequential) {
+          EXPECT_EQ(std::memcmp(w.data(), g.data(), w.size_bytes()), 0)
+              << to_string(c.kind);
+          continue;
+        }
+        for (std::size_t i = 0; i < w.size(); ++i) {
+          EXPECT_NEAR(w[i], g[i], 1e-10)
+              << to_string(rt) << " " << to_string(c.kind) << " entry " << i;
         }
       }
     }

@@ -609,19 +609,6 @@ TEST(SolveService, MultiRhsSolveThroughRequestOptions) {
   }
 }
 
-TEST(SolveService, DeprecatedPositionalSubmitsStillForward) {
-  SolveService svc;
-  const auto a = shared(gen::grid2d_laplacian(8, 8));
-  SPX_SUPPRESS_DEPRECATED_BEGIN
-  auto ft = svc.submit_factorize(std::string("t"), a, Factorization::LLT);
-  const FactorizeResult fr = ft.get();
-  ASSERT_TRUE(fr.ok()) << fr.error;
-  std::vector<real_t> b(static_cast<std::size_t>(a->ncols()), 1.0);
-  auto st = svc.submit_solve(std::string("t"), fr.factor, std::move(b));
-  EXPECT_TRUE(st.get().ok());
-  SPX_SUPPRESS_DEPRECATED_END
-}
-
 // ---------- per-tenant QoS ---------------------------------------------
 
 struct QueueProbeJob : service::JobBase {
@@ -722,8 +709,6 @@ TEST(ServiceStress, NoTenantStarvedAcrossMixedRequests) {
   opts.queue_capacity = 2000;
   opts.max_batch = 1;  // keep completion order == scheduling order
   SolveService svc(opts);
-  // Large enough that 880 solves cannot drain in the microseconds it
-  // takes to enqueue the light tenants below.
   const auto a = gen::grid2d_laplacian(40, 40);
   const FactorizeResult fr =
       svc.factorize("warm", shared(a), Factorization::LLT);
@@ -733,16 +718,28 @@ TEST(ServiceStress, NoTenantStarvedAcrossMixedRequests) {
   constexpr int kFlood = 880;
   constexpr int kLight = 50;
   std::vector<Ticket<SolveResult>> flood, light;
+  // Enqueueing takes tens of milliseconds, long enough for free workers
+  // to drain most of the flood before the light tenants arrive.  So the
+  // flood's first num_workers requests hold their workers, in
+  // on_complete, until every request is queued: the light tenants then
+  // always arrive behind the flood's whole backlog.
+  std::promise<void> queued;
+  const std::shared_future<void> all_queued = queued.get_future().share();
   // Fill the flood tenant's queue first, then interleave the light
   // tenants; round-robin must still serve them promptly.
   for (int i = 0; i < kFlood; ++i) {
-    flood.push_back(svc.submit_solve(req("flood"), fr.factor, b));
+    RequestOptions r = req("flood");
+    if (i < opts.num_workers) {
+      r.on_complete = [all_queued] { all_queued.wait(); };
+    }
+    flood.push_back(svc.submit_solve(std::move(r), fr.factor, b));
   }
   for (int i = 0; i < kLight; ++i) {
     for (const char* tenant : {"light-1", "light-2", "light-3"}) {
       light.push_back(svc.submit_solve(req(tenant), fr.factor, b));
     }
   }
+  queued.set_value();
   std::uint64_t light_max_seq = 0;
   for (auto& t : light) {
     const SolveResult sr = t.get();
@@ -760,8 +757,8 @@ TEST(ServiceStress, NoTenantStarvedAcrossMixedRequests) {
   EXPECT_EQ(st.rejected, 0u);
   // Each round-robin rotation serves every tenant once, so the 150 light
   // requests all complete within the first ~4*150 completions (plus the
-  // flood's head start while they were being enqueued); the flood's tail
-  // necessarily lands at the very end.
+  // flood's head start: the requests that held the workers); the flood's
+  // tail necessarily lands at the very end.
   EXPECT_LT(light_max_seq, 800u);
   EXPECT_GT(flood_max_seq, light_max_seq);
   EXPECT_EQ(flood_max_seq, st.completed);

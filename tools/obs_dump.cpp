@@ -12,6 +12,7 @@
 //     service -> solver -> driver boundary, exporter well-formedness,
 //     metrics/stats reconciliation -- and exits non-zero on any
 //     violation.  Wired into ctest (obs_dump_self_check).
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -102,18 +103,29 @@ int self_check() {
   const std::vector<obs::SpanRecord> spans = tracer.snapshot();
   check(!spans.empty(), "workload recorded spans");
   std::uint64_t factorize_trace = 0;
-  std::uint64_t factorize_span = 0;
+  std::vector<std::uint64_t> factorize_spans;
   std::size_t tasks = 0, queue_waits = 0;
   for (const obs::SpanRecord& s : spans) {
     if (std::strcmp(s.name, "solver.factorize") == 0) {
       factorize_trace = s.trace_id;
-      factorize_span = s.span_id;
+      factorize_spans.push_back(s.span_id);
     }
     if (std::strcmp(s.track, "worker-") == 0) ++tasks;
     if (std::strcmp(s.name, "service.queue.wait") == 0) ++queue_waits;
   }
   check(factorize_trace != 0, "solver.factorize span present");
   check(queue_waits >= 2, "queue-wait spans recorded");
+  // Every numeric factorization assembles its input under its own span.
+  std::size_t assembles = 0;
+  for (const obs::SpanRecord& s : spans) {
+    if (std::strcmp(s.name, "solver.assemble") != 0) continue;
+    check(std::find(factorize_spans.begin(), factorize_spans.end(),
+                    s.parent_id) != factorize_spans.end(),
+          "solver.assemble parented under solver.factorize");
+    ++assembles;
+  }
+  check(assembles > 0 && assembles == factorize_spans.size(),
+        "one solver.assemble span per solver.factorize");
   std::size_t tasks_in_trace = 0;
   for (const obs::SpanRecord& s : spans) {
     if (std::strcmp(s.track, "worker-") != 0) continue;
@@ -137,7 +149,6 @@ int self_check() {
     }
     check(found, "parent span resolvable in the snapshot");
   }
-  (void)factorize_span;
 
   // 4. Registry reconciliation: the mirrored service counters match the
   // canonical atomics' semantics (2 submits + 1 solve, 1 cache hit).
