@@ -37,7 +37,9 @@ template <typename T>
 void solve_permuted(const FactorData<T>& f, std::span<T> x);
 
 /// Multi-RHS variants: X is n x nrhs column-major with leading dimension
-/// ldx; panel updates become GEMMs instead of GEMVs.
+/// ldx; each panel is solved on an RHS-contiguous tile (nrhs x width) with
+/// one GEMM for its off-diagonal update.  solve_permuted_multi runs fewer
+/// than three columns through solve_permuted, one column at a time.
 template <typename T>
 void solve_forward_multi(const FactorData<T>& f, T* x, index_t nrhs,
                          index_t ldx);

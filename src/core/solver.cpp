@@ -483,7 +483,8 @@ SolveReport Solver<T>::solve(std::span<T> b) const {
 }
 
 template <typename T>
-SolveReport Solver<T>::solve_multi(std::span<T> b, index_t nrhs) const {
+SolveReport Solver<T>::solve_multi(std::span<T> b, index_t nrhs,
+                                   obs::SpanContext parent) const {
   SPX_CHECK_ARG(factorized(),
                 "solve_multi() without factors: factorize() has not run "
                 "since the last analyze()");
@@ -491,9 +492,9 @@ SolveReport Solver<T>::solve_multi(std::span<T> b, index_t nrhs) const {
   SPX_CHECK_ARG(static_cast<index_t>(b.size()) == n * nrhs,
                 "rhs block size mismatch");
   obs::ScopedSpan span;
-  SPX_OBS(span = obs::ScopedSpan(options_.instr.tracer, "solver.solve",
-                                 "service-", options_.instr.parent, 0,
-                                 nrhs));
+  SPX_OBS(span = obs::ScopedSpan(
+              options_.instr.tracer, "solver.solve", "service-",
+              parent.valid() ? parent : options_.instr.parent, 0, nrhs));
   const bool degraded =
       stats_.quality.degraded() && refine_matrix_ != nullptr;
   std::vector<T> b0;

@@ -165,8 +165,12 @@ class Solver {
 
   /// In-place multi-RHS solve: `b` holds nrhs column-major right-hand
   /// sides of length n (leading dimension n).  Degraded factors refine
-  /// every column; the report carries the worst column's figures.
-  SolveReport solve_multi(std::span<T> b, index_t nrhs) const;
+  /// every column; the report carries the worst column's figures.  The
+  /// `solver.solve` span parents under `parent` when it is valid, else
+  /// under options().instr.parent: concurrent solves on one factor each
+  /// pass their own request's context without writing shared options.
+  SolveReport solve_multi(std::span<T> b, index_t nrhs,
+                          obs::SpanContext parent = {}) const;
 
   /// Iterative refinement: improves x (starting from a direct solve) until
   /// the relative residual drops below `tol`; returns iterations used.

@@ -396,6 +396,92 @@ void trsm_right_upper(index_t m, index_t n, const T* u, index_t ldu, T* x,
 }
 
 template <typename T>
+void trsm_right_lower_unblocked(index_t m, index_t n, const T* l,
+                                index_t ldl, T* x, index_t ldx,
+                                bool unit_diag) {
+  SPX_KERNEL_ASSERT_DIMS_2(m, n);
+  SPX_DEBUG_ASSERT(ldl >= ld_of(n) && ldx >= ld_of(m));
+  // Solve X * L = B from the last column:
+  //   X(:,j) = (B(:,j) - sum_{i>j} X(:,i) * L(i,j)) / L(j,j)
+  for (index_t j = n - 1; j >= 0; --j) {
+    T* xj = x + static_cast<std::size_t>(j) * ldx;
+    const T* lj = l + static_cast<std::size_t>(j) * ldl;
+    for (index_t i = j + 1; i < n; ++i) {
+      const T lij = lj[i];
+      if (lij == T(0)) continue;
+      const T* xi = x + static_cast<std::size_t>(i) * ldx;
+      for (index_t r = 0; r < m; ++r) xj[r] -= xi[r] * lij;
+    }
+    if (!unit_diag) {
+      const T inv = T(1) / lj[j];
+      for (index_t r = 0; r < m; ++r) xj[r] *= inv;
+    }
+  }
+}
+
+template <typename T>
+void trsm_right_upper_trans_unblocked(index_t m, index_t n, const T* u,
+                                      index_t ldu, T* x, index_t ldx) {
+  SPX_KERNEL_ASSERT_DIMS_2(m, n);
+  SPX_DEBUG_ASSERT(ldu >= ld_of(n) && ldx >= ld_of(m));
+  // Solve X * U^T = B from the last column:
+  //   X(:,j) = (B(:,j) - sum_{i>j} X(:,i) * U(j,i)) / U(j,j)
+  for (index_t j = n - 1; j >= 0; --j) {
+    T* xj = x + static_cast<std::size_t>(j) * ldx;
+    for (index_t i = j + 1; i < n; ++i) {
+      const T uji = u[j + static_cast<std::size_t>(i) * ldu];
+      if (uji == T(0)) continue;
+      const T* xi = x + static_cast<std::size_t>(i) * ldx;
+      for (index_t r = 0; r < m; ++r) xj[r] -= xi[r] * uji;
+    }
+    const T inv = T(1) / u[j + static_cast<std::size_t>(j) * ldu];
+    for (index_t r = 0; r < m; ++r) xj[r] *= inv;
+  }
+}
+
+template <typename T>
+void trsm_right_lower(index_t m, index_t n, const T* l, index_t ldl, T* x,
+                      index_t ldx, bool unit_diag) {
+  SPX_KERNEL_ASSERT_DIMS_2(m, n);
+  SPX_DEBUG_ASSERT(ldl >= ld_of(n) && ldx >= ld_of(m));
+  // Blocked, last block first: X_j := (B_j - X_{>j} * L(>j, j)) * L_jj^{-1}.
+  for (index_t j = (std::max<index_t>(n, 1) - 1) / kNB * kNB; j >= 0;
+       j -= kNB) {
+    const index_t jb = std::min(kNB, n - j);
+    const index_t rest = n - j - jb;
+    if (rest > 0) {
+      gemm_nn(m, jb, rest, T(-1), x + static_cast<std::size_t>(j + jb) * ldx,
+              ldx, l + (j + jb) + static_cast<std::size_t>(j) * ldl, ldl,
+              T(1), x + static_cast<std::size_t>(j) * ldx, ldx);
+    }
+    trsm_right_lower_unblocked(
+        m, jb, l + j + static_cast<std::size_t>(j) * ldl, ldl,
+        x + static_cast<std::size_t>(j) * ldx, ldx, unit_diag);
+  }
+}
+
+template <typename T>
+void trsm_right_upper_trans(index_t m, index_t n, const T* u, index_t ldu,
+                            T* x, index_t ldx) {
+  SPX_KERNEL_ASSERT_DIMS_2(m, n);
+  SPX_DEBUG_ASSERT(ldu >= ld_of(n) && ldx >= ld_of(m));
+  // Blocked, last block first: X_j := (B_j - X_{>j} * U(j, >j)^T) * U_jj^{-T}.
+  for (index_t j = (std::max<index_t>(n, 1) - 1) / kNB * kNB; j >= 0;
+       j -= kNB) {
+    const index_t jb = std::min(kNB, n - j);
+    const index_t rest = n - j - jb;
+    if (rest > 0) {
+      gemm_nt(m, jb, rest, T(-1), x + static_cast<std::size_t>(j + jb) * ldx,
+              ldx, u + j + static_cast<std::size_t>(j + jb) * ldu, ldu, T(1),
+              x + static_cast<std::size_t>(j) * ldx, ldx);
+    }
+    trsm_right_upper_trans_unblocked(
+        m, jb, u + j + static_cast<std::size_t>(j) * ldu, ldu,
+        x + static_cast<std::size_t>(j) * ldx, ldx);
+  }
+}
+
+template <typename T>
 void trsm_left_lower_unit(index_t n, index_t m, const T* l, index_t ldl,
                           T* x, index_t ldx) {
   SPX_KERNEL_ASSERT_DIMS_2(n, m);
@@ -502,45 +588,6 @@ void getrf_nopiv(index_t n, T* a, index_t lda, const PivotControl& pc) {
 }
 
 template <typename T>
-void gemm_tn(index_t m, index_t n, index_t k, T alpha, const T* a,
-             index_t lda, const T* b, index_t ldb, T beta, T* c,
-             index_t ldc) {
-  SPX_KERNEL_ASSERT_DIMS_3(m, n, k);
-  SPX_DEBUG_ASSERT(lda >= ld_of(k) && ldb >= ld_of(k) && ldc >= ld_of(m));
-  for (index_t j = 0; j < n; ++j) {
-    const T* bcol = b + static_cast<std::size_t>(j) * ldb;
-    T* ccol = c + static_cast<std::size_t>(j) * ldc;
-    for (index_t i = 0; i < m; ++i) {
-      const T* acol = a + static_cast<std::size_t>(i) * lda;
-      T acc = T(0);
-      for (index_t l = 0; l < k; ++l) acc += acol[l] * bcol[l];
-      ccol[i] = beta * ccol[i] + alpha * acc;
-    }
-  }
-}
-
-template <typename T>
-void trsm_left_lower(index_t n, index_t m, const T* l, index_t ldl,
-                     bool unit_diag, T* x, index_t ldx) {
-  SPX_KERNEL_ASSERT_DIMS_2(n, m);
-  SPX_DEBUG_ASSERT(ldl >= ld_of(n) && ldx >= ld_of(n));
-  for (index_t c = 0; c < m; ++c) {
-    trsv_lower(n, l, ldl, unit_diag, x + static_cast<std::size_t>(c) * ldx);
-  }
-}
-
-template <typename T>
-void trsm_left_lower_trans(index_t n, index_t m, const T* l, index_t ldl,
-                           bool unit_diag, T* x, index_t ldx) {
-  SPX_KERNEL_ASSERT_DIMS_2(n, m);
-  SPX_DEBUG_ASSERT(ldl >= ld_of(n) && ldx >= ld_of(n));
-  for (index_t c = 0; c < m; ++c) {
-    trsv_lower_trans(n, l, ldl, unit_diag,
-                     x + static_cast<std::size_t>(c) * ldx);
-  }
-}
-
-template <typename T>
 void trsm_left_upper(index_t n, index_t m, const T* u, index_t ldu, T* x,
                      index_t ldx) {
   SPX_KERNEL_ASSERT_DIMS_2(n, m);
@@ -613,9 +660,21 @@ void gemv_sub(index_t m, index_t n, const T* a, index_t lda, const T* x,
               T* y) {
   SPX_KERNEL_ASSERT_DIMS_2(m, n);
   SPX_DEBUG_ASSERT(lda >= ld_of(m));
-  for (index_t j = 0; j < n; ++j) {
+  // Four columns per pass: y is loaded and stored once per four columns
+  // of A instead of once per column.
+  index_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const T* c0 = a + static_cast<std::size_t>(j) * lda;
+    const T* c1 = c0 + lda;
+    const T* c2 = c1 + lda;
+    const T* c3 = c2 + lda;
+    const T x0 = x[j], x1 = x[j + 1], x2 = x[j + 2], x3 = x[j + 3];
+    for (index_t i = 0; i < m; ++i) {
+      y[i] -= c0[i] * x0 + c1[i] * x1 + c2[i] * x2 + c3[i] * x3;
+    }
+  }
+  for (; j < n; ++j) {
     const T xj = x[j];
-    if (xj == T(0)) continue;
     const T* col = a + static_cast<std::size_t>(j) * lda;
     for (index_t i = 0; i < m; ++i) y[i] -= col[i] * xj;
   }
@@ -626,7 +685,28 @@ void gemv_trans_sub(index_t m, index_t n, const T* a, index_t lda,
                     const T* x, T* y) {
   SPX_KERNEL_ASSERT_DIMS_2(m, n);
   SPX_DEBUG_ASSERT(lda >= ld_of(m));
-  for (index_t j = 0; j < n; ++j) {
+  // Four dot products per pass: x is read once for four columns of A,
+  // and the four independent sums keep the adder pipeline full.
+  index_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const T* c0 = a + static_cast<std::size_t>(j) * lda;
+    const T* c1 = c0 + lda;
+    const T* c2 = c1 + lda;
+    const T* c3 = c2 + lda;
+    T s0 = T(0), s1 = T(0), s2 = T(0), s3 = T(0);
+    for (index_t i = 0; i < m; ++i) {
+      const T xi = x[i];
+      s0 += c0[i] * xi;
+      s1 += c1[i] * xi;
+      s2 += c2[i] * xi;
+      s3 += c3[i] * xi;
+    }
+    y[j] -= s0;
+    y[j + 1] -= s1;
+    y[j + 2] -= s2;
+    y[j + 3] -= s3;
+  }
+  for (; j < n; ++j) {
     const T* col = a + static_cast<std::size_t>(j) * lda;
     T acc = T(0);
     for (index_t i = 0; i < m; ++i) acc += col[i] * x[i];
@@ -645,12 +725,6 @@ void gemv_trans_sub(index_t m, index_t n, const T* a, index_t lda,
                                index_t, const T*, index_t, T, T*, index_t); \
   template void trsm_left_lower_unit<T>(index_t, index_t, const T*,         \
                                         index_t, T*, index_t);              \
-  template void gemm_tn<T>(index_t, index_t, index_t, T, const T*, index_t, \
-                           const T*, index_t, T, T*, index_t);              \
-  template void trsm_left_lower<T>(index_t, index_t, const T*, index_t,     \
-                                   bool, T*, index_t);                      \
-  template void trsm_left_lower_trans<T>(index_t, index_t, const T*,        \
-                                         index_t, bool, T*, index_t);       \
   template void trsm_left_upper<T>(index_t, index_t, const T*, index_t,     \
                                    T*, index_t);                            \
   template void trsm_right_lower_trans<T>(index_t, index_t, const T*,       \
@@ -661,6 +735,14 @@ void gemv_trans_sub(index_t m, index_t n, const T* a, index_t lda,
                                     T*, index_t);                           \
   template void trsm_right_upper_unblocked<T>(index_t, index_t, const T*,   \
                                               index_t, T*, index_t);        \
+  template void trsm_right_lower<T>(index_t, index_t, const T*, index_t,    \
+                                    T*, index_t, bool);                     \
+  template void trsm_right_lower_unblocked<T>(index_t, index_t, const T*,   \
+                                              index_t, T*, index_t, bool);  \
+  template void trsm_right_upper_trans<T>(index_t, index_t, const T*,       \
+                                          index_t, T*, index_t);            \
+  template void trsm_right_upper_trans_unblocked<T>(                        \
+      index_t, index_t, const T*, index_t, T*, index_t);                    \
   template void potrf<T>(index_t, T*, index_t, const PivotControl&);        \
   template void ldlt<T>(index_t, T*, index_t, const PivotControl&);         \
   template void getrf_nopiv<T>(index_t, T*, index_t, const PivotControl&);  \

@@ -65,24 +65,8 @@ template <typename T>
 void trsm_left_lower_unit(index_t n, index_t m, const T* l, index_t ldl,
                           T* x, index_t ldx);
 
-/// C(m x n) := beta*C + alpha * A(k x m)^T * B(k x n)  (plain transpose;
-/// the multi-RHS backward solve gathers with this shape).
-template <typename T>
-void gemm_tn(index_t m, index_t n, index_t k, T alpha, const T* a,
-             index_t lda, const T* b, index_t ldb, T beta, T* c,
-             index_t ldc);
-
-/// X(n x m) := L^{-1} X, general lower triangle (multi-RHS forward solve).
-template <typename T>
-void trsm_left_lower(index_t n, index_t m, const T* l, index_t ldl,
-                     bool unit_diag, T* x, index_t ldx);
-
-/// X(n x m) := L^{-T} X (multi-RHS backward solve, symmetric kinds).
-template <typename T>
-void trsm_left_lower_trans(index_t n, index_t m, const T* l, index_t ldl,
-                           bool unit_diag, T* x, index_t ldx);
-
-/// X(n x m) := U^{-1} X, upper triangle (multi-RHS backward solve, LU).
+/// X(n x m) := U^{-1} X, upper triangle, one trsv per column (the Schur
+/// tests build their dense oracle with it).
 template <typename T>
 void trsm_left_upper(index_t n, index_t m, const T* u, index_t ldu, T* x,
                      index_t ldx);
@@ -100,6 +84,19 @@ template <typename T>
 void trsm_right_upper(index_t m, index_t n, const T* u, index_t ldu, T* x,
                       index_t ldx);
 
+/// X(m x n) := X * L^{-1} where L(n x n) is lower triangular; `unit_diag`
+/// skips the diagonal division.  The backward diagonal solve of the
+/// multi-RHS sweep (LL^T / LDL^T) on its RHS-contiguous tile Y = Xp^T.
+template <typename T>
+void trsm_right_lower(index_t m, index_t n, const T* l, index_t ldl, T* x,
+                      index_t ldx, bool unit_diag);
+
+/// X(m x n) := X * U^{-T} where U(n x n) is upper triangular (non-unit).
+/// The backward diagonal solve of the multi-RHS LU sweep, on the tile.
+template <typename T>
+void trsm_right_upper_trans(index_t m, index_t n, const T* u, index_t ldu,
+                            T* x, index_t ldx);
+
 /// Unblocked (column-at-a-time) base case of trsm_right_lower_trans.
 /// Exposed as a test oracle: the blocked variant must agree with this for
 /// every n, including n that is not a multiple of the blocking factor.
@@ -112,6 +109,17 @@ void trsm_right_lower_trans_unblocked(index_t m, index_t n, const T* l,
 template <typename T>
 void trsm_right_upper_unblocked(index_t m, index_t n, const T* u,
                                 index_t ldu, T* x, index_t ldx);
+
+/// Unblocked base case of trsm_right_lower (test oracle, see above).
+template <typename T>
+void trsm_right_lower_unblocked(index_t m, index_t n, const T* l,
+                                index_t ldl, T* x, index_t ldx,
+                                bool unit_diag);
+
+/// Unblocked base case of trsm_right_upper_trans (test oracle).
+template <typename T>
+void trsm_right_upper_trans_unblocked(index_t m, index_t n, const T* u,
+                                      index_t ldu, T* x, index_t ldx);
 
 /// In-place lower Cholesky of the leading n x n block: A = L*L^T, lower
 /// triangle overwritten by L (strictly upper part untouched).
@@ -155,12 +163,15 @@ void trsv_lower_trans(index_t n, const T* l, index_t ldl, bool unit_diag,
 template <typename T>
 void trsv_upper(index_t n, const T* u, index_t ldu, T* b);
 
-/// y(m) := y - A(m x n) * x(n)  (dense column-major GEMV accumulate).
+/// y(m) := y - A(m x n) * x(n)  (dense column-major GEMV accumulate),
+/// four columns of A per pass over y.
 template <typename T>
 void gemv_sub(index_t m, index_t n, const T* a, index_t lda, const T* x,
               T* y);
 
-/// y(n) := y - A(m x n)^T * x(m)  (transposed GEMV accumulate).
+/// y(n) := y - A(m x n)^T * x(m)  (transposed GEMV accumulate), four
+/// columns of A per pass over x.  Each y(j) takes one dot product summed
+/// in row order, so the result does not depend on n's remainder mod 4.
 template <typename T>
 void gemv_trans_sub(index_t m, index_t n, const T* a, index_t lda,
                     const T* x, T* y);

@@ -586,6 +586,7 @@ void SolveService::run_refactorize(
         // factors from the retained previous matrix so the factor keeps
         // serving the old values.
         try {
+          SPX_OBS(f.solver_.options().instr.parent = req_span.context());
           f.solver_.factorize(*m, f.fkind_);
         } catch (...) {
           f.mixed_->refactorize(*prev);
@@ -600,7 +601,9 @@ void SolveService::run_refactorize(
       }
     } else {
       // Solver::refactorize rolls back to the previous factor on any
-      // failure, so a throw below leaves the factor servable.
+      // failure, so a throw below leaves the factor servable.  Under the
+      // exclusive lock the solver's spans can move to this request.
+      SPX_OBS(f.solver_.options().instr.parent = req_span.context());
       f.solver_.refactorize(*m);
       st.run = f.solver_.last_factorization_stats();
       st.degraded = st.run.quality.degraded();
@@ -722,7 +725,8 @@ void SolveService::run_solve_batch(const std::shared_ptr<SolveJob>& first) {
         backward_error = rep.residual;
         refine_iterations = rep.iterations;
       } else {
-        const SolveReport rep = factor.solver_.solve_multi(block, k);
+        const SolveReport rep =
+            factor.solver_.solve_multi(block, k, batch_span.context());
         degraded = rep.degraded;
         backward_error = rep.backward_error;
       }

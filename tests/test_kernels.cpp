@@ -310,7 +310,8 @@ TEST(ScaleCols, ForwardAndInverseCancel) {
 }
 
 TEST(Gemv, SubMatchesManual) {
-  const index_t m = 5, n = 3;
+  // n = 7: one four-column pass and three single columns.
+  const index_t m = 5, n = 7;
   Rng rng(17);
   const auto a = random_matrix<real_t>(m, n, rng);
   std::vector<real_t> x(n), y(m, 1.0), expect(m, 1.0);
@@ -319,6 +320,20 @@ TEST(Gemv, SubMatchesManual) {
     for (index_t i = 0; i < m; ++i) expect[i] -= a[i + j * m] * x[j];
   }
   k::gemv_sub<real_t>(m, n, a.data(), m, x.data(), y.data());
+  EXPECT_LT(max_diff(y, expect), 1e-13);
+}
+
+TEST(Gemv, TransSubMatchesManual) {
+  // n = 7: one four-column pass and three single columns.
+  const index_t m = 9, n = 7, lda = m + 2;
+  Rng rng(18);
+  const auto a = random_matrix<real_t>(lda, n, rng);
+  std::vector<real_t> x(m), y(n, 1.0), expect(n, 1.0);
+  for (auto& v : x) v = rng.uniform(-1, 1);
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t i = 0; i < m; ++i) expect[j] -= a[i + j * lda] * x[i];
+  }
+  k::gemv_trans_sub<real_t>(m, n, a.data(), lda, x.data(), y.data());
   EXPECT_LT(max_diff(y, expect), 1e-13);
 }
 
@@ -636,6 +651,65 @@ TEST_P(TrsmBlockedVsUnblocked, RightUpperMatches) {
   k::trsm_right_upper<real_t>(m, n, u.data(), n, xb.data(), m);
   k::trsm_right_upper_unblocked<real_t>(m, n, u.data(), n, xu.data(), m);
   EXPECT_LT(max_diff(xb, xu), 1e-11 * n);
+}
+
+/// The triangle of a random n x n matrix: lower (or upper) part kept,
+/// the diagonal lifted by n, or set to one for a unit triangle.
+std::vector<real_t> triangle(index_t n, bool lower, bool unit, Rng& rng) {
+  auto t = random_matrix<real_t>(n, n, rng);
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t i = 0; i < n; ++i) {
+      real_t& v = t[i + static_cast<std::size_t>(j) * n];
+      if (i == j) {
+        v = unit ? 1.0 : v + n;
+      } else if ((i > j) != lower) {
+        v = 0;
+      }
+    }
+  }
+  return t;
+}
+
+TEST_P(TrsmBlockedVsUnblocked, RightLowerMatches) {
+  const index_t n = GetParam();
+  const index_t m = 37;
+  Rng rng(700 + n);
+  for (const bool unit : {false, true}) {
+    const auto l = triangle(n, /*lower=*/true, unit, rng);
+    const auto x0 = random_matrix<real_t>(m, n, rng);
+    auto xb = x0;
+    auto xu = x0;
+    k::trsm_right_lower<real_t>(m, n, l.data(), n, xb.data(), m, unit);
+    k::trsm_right_lower_unblocked<real_t>(m, n, l.data(), n, xu.data(), m,
+                                          unit);
+    double xmax = 1.0;
+    for (const real_t v : xu) xmax = std::max(xmax, std::abs(v));
+    EXPECT_LT(max_diff(xb, xu), 1e-13 * n * xmax) << "unit=" << unit;
+    // And it solves X * L = B.
+    std::vector<real_t> back(x0.size(), 0.0);
+    k::gemm_nn_ref<real_t>(m, n, n, 1.0, xb.data(), m, l.data(), n, 0.0,
+                           back.data(), m);
+    EXPECT_LT(max_diff(back, x0), 1e-12 * n * xmax) << "unit=" << unit;
+  }
+}
+
+TEST_P(TrsmBlockedVsUnblocked, RightUpperTransMatches) {
+  const index_t n = GetParam();
+  const index_t m = 37;
+  Rng rng(800 + n);
+  const auto u = triangle(n, /*lower=*/false, /*unit=*/false, rng);
+  const auto x0 = random_matrix<real_t>(m, n, rng);
+  auto xb = x0;
+  auto xu = x0;
+  k::trsm_right_upper_trans<real_t>(m, n, u.data(), n, xb.data(), m);
+  k::trsm_right_upper_trans_unblocked<real_t>(m, n, u.data(), n, xu.data(),
+                                              m);
+  EXPECT_LT(max_diff(xb, xu), 1e-11 * n);
+  // And it solves X * U^T = B.
+  std::vector<real_t> back(x0.size(), 0.0);
+  k::gemm_nt_ref<real_t>(m, n, n, 1.0, xb.data(), m, u.data(), n, 0.0,
+                         back.data(), m);
+  EXPECT_LT(max_diff(back, x0), 1e-11 * n);
 }
 
 INSTANTIATE_TEST_SUITE_P(BlockBoundary, TrsmBlockedVsUnblocked,

@@ -21,13 +21,15 @@ FactorData<T> factored(const CscMatrix<T>& a, const Analysis& an,
   return f;
 }
 
+/// nrhs on both sides of the vector/tile routing constant, at and around
+/// the packed GEMM's NR = 8 and MR = 16 register-tile edges, past its
+/// m*n*k < 2048 small-product cutoff, and one column past 64.
+constexpr index_t kMultiRhsCounts[] = {1, 2, 3, 7, 8, 9, 17, 64, 65};
+
 template <typename T>
-void check_multi_matches_single(const CscMatrix<T>& a, Factorization kind) {
-  const Analysis an = analyze(a);
-  const FactorData<T> f = factored(a, an, kind);
-  const index_t n = a.ncols();
-  const index_t nrhs = 5;
-  Rng rng(400);
+void check_multi_matches_single(const FactorData<T>& f, index_t nrhs) {
+  const index_t n = f.structure().num_cols();
+  Rng rng(400 + static_cast<std::uint64_t>(nrhs));
   std::vector<T> b(static_cast<std::size_t>(n) * nrhs);
   for (auto& v : b) v = rng.scalar<T>();
 
@@ -42,7 +44,16 @@ void check_multi_matches_single(const CscMatrix<T>& a, Factorization kind) {
   }
   for (std::size_t i = 0; i < multi.size(); ++i) {
     EXPECT_LT(magnitude<T>(multi[i] - single[i]), 1e-12)
-        << "entry " << i;
+        << "nrhs " << nrhs << ", entry " << i;
+  }
+}
+
+template <typename T>
+void check_multi_matches_single(const CscMatrix<T>& a, Factorization kind) {
+  const Analysis an = analyze(a);
+  const FactorData<T> f = factored(a, an, kind);
+  for (const index_t nrhs : kMultiRhsCounts) {
+    check_multi_matches_single(f, nrhs);
   }
 }
 
@@ -72,32 +83,109 @@ TEST(MultiRhs, MatchesSingleComplexLu) {
                                         Factorization::LU);
 }
 
+/// True when some panel is wider than the 48-column TRSM block and some
+/// supernode was split into several panels (wider than 128 columns).
+bool has_wide_and_split_panels(const SymbolicStructure& st) {
+  bool wide = false, split = false;
+  for (index_t p = 0; p < st.num_panels(); ++p) {
+    wide = wide || st.panels[p].width() > 48;
+    split = split || (p > 0 && st.panels[p].supernode ==
+                                   st.panels[p - 1].supernode);
+  }
+  return wide && split;
+}
+
+/// A 14^3 grid: its top separator (a 14 x 14 plane) is one supernode of
+/// 196 columns, split into panels wider than the TRSM block.
+template <typename T>
+void check_wide_panels(const CscMatrix<T>& a, Factorization kind) {
+  const Analysis an = analyze(a);
+  ASSERT_TRUE(has_wide_and_split_panels(an.structure));
+  const FactorData<T> f = factored(a, an, kind);
+  for (const index_t nrhs : kMultiRhsCounts) {
+    check_multi_matches_single(f, nrhs);
+  }
+}
+
+/// The same pattern with every value scaled by `scale`: a complex
+/// symmetric matrix whose plain-transpose factorizations are safe.
+CscMatrix<complex_t> complex_scaled(const CscMatrix<real_t>& a,
+                                    complex_t scale) {
+  std::vector<complex_t> vals;
+  vals.reserve(a.values().size());
+  for (const real_t v : a.values()) vals.push_back(scale * v);
+  return CscMatrix<complex_t>(
+      a.nrows(), a.ncols(),
+      std::vector<size_type>(a.colptr().begin(), a.colptr().end()),
+      std::vector<index_t>(a.rowind().begin(), a.rowind().end()),
+      std::move(vals));
+}
+
+TEST(MultiRhs, MatchesSingleAcrossPanelSplits) {
+  const auto lap = gen::grid3d_laplacian(14, 14, 14);
+  check_wide_panels<real_t>(lap, Factorization::LLT);
+  check_wide_panels<real_t>(lap, Factorization::LDLT);
+  check_wide_panels<real_t>(gen::convection_diffusion3d(14, 14, 14, 8.0),
+                            Factorization::LU);
+}
+
+TEST(MultiRhs, MatchesSingleAcrossPanelSplitsComplex) {
+  const auto a =
+      complex_scaled(gen::grid3d_laplacian(14, 14, 14), complex_t(1, 0.1));
+  for (const Factorization kind :
+       {Factorization::LLT, Factorization::LDLT, Factorization::LU}) {
+    check_wide_panels<complex_t>(a, kind);
+  }
+}
+
 TEST(MultiRhs, RespectsLeadingDimension) {
   const auto a = gen::grid2d_laplacian(9, 9);
   const Analysis an = analyze(a);
   const FactorData<real_t> f = factored(a, an, Factorization::LLT);
-  const index_t n = a.ncols(), nrhs = 3, ldx = n + 7;
-  Rng rng(402);
-  std::vector<real_t> x(static_cast<std::size_t>(ldx) * nrhs, -777.0);
-  std::vector<real_t> compact(static_cast<std::size_t>(n) * nrhs);
-  for (index_t c = 0; c < nrhs; ++c) {
-    for (index_t i = 0; i < n; ++i) {
-      const real_t v = rng.uniform(-1, 1);
-      x[i + static_cast<std::size_t>(c) * ldx] = v;
-      compact[i + static_cast<std::size_t>(c) * n] = v;
+  // nrhs 1 takes the vector sweep, 9 the RHS tile.
+  for (const index_t nrhs : {index_t{1}, index_t{3}, index_t{9}}) {
+    const index_t n = a.ncols(), ldx = n + 7;
+    Rng rng(402);
+    std::vector<real_t> x(static_cast<std::size_t>(ldx) * nrhs, -777.0);
+    std::vector<real_t> compact(static_cast<std::size_t>(n) * nrhs);
+    for (index_t c = 0; c < nrhs; ++c) {
+      for (index_t i = 0; i < n; ++i) {
+        const real_t v = rng.uniform(-1, 1);
+        x[i + static_cast<std::size_t>(c) * ldx] = v;
+        compact[i + static_cast<std::size_t>(c) * n] = v;
+      }
+    }
+    solve_permuted_multi(f, x.data(), nrhs, ldx);
+    solve_permuted_multi(f, compact.data(), nrhs, n);
+    for (index_t c = 0; c < nrhs; ++c) {
+      for (index_t i = 0; i < n; ++i) {
+        EXPECT_NEAR(x[i + static_cast<std::size_t>(c) * ldx],
+                    compact[i + static_cast<std::size_t>(c) * n], 1e-13)
+            << "nrhs " << nrhs;
+      }
+      // Padding rows untouched.
+      for (index_t i = n; i < ldx; ++i) {
+        EXPECT_EQ(x[i + static_cast<std::size_t>(c) * ldx], -777.0)
+            << "nrhs " << nrhs;
+      }
     }
   }
-  solve_permuted_multi(f, x.data(), nrhs, ldx);
-  solve_permuted_multi(f, compact.data(), nrhs, n);
-  for (index_t c = 0; c < nrhs; ++c) {
-    for (index_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(x[i + static_cast<std::size_t>(c) * ldx],
-                  compact[i + static_cast<std::size_t>(c) * n], 1e-13);
-    }
-    // Padding rows untouched.
-    for (index_t i = n; i < ldx; ++i) {
-      EXPECT_EQ(x[i + static_cast<std::size_t>(c) * ldx], -777.0);
-    }
+}
+
+TEST(MultiRhs, OneColumnMatchesSolveBitwise) {
+  const auto a = gen::grid3d_laplacian(6, 6, 6);
+  for (const Factorization kind :
+       {Factorization::LLT, Factorization::LDLT, Factorization::LU}) {
+    Solver<real_t> solver;
+    solver.analyze(a);
+    solver.factorize(a, kind);
+    Rng rng(405);
+    std::vector<real_t> single(static_cast<std::size_t>(a.ncols()));
+    for (auto& v : single) v = rng.uniform(-1, 1);
+    std::vector<real_t> multi = single;
+    solver.solve(single);
+    solver.solve_multi(multi, 1);
+    EXPECT_EQ(single, multi) << "kind " << static_cast<int>(kind);
   }
 }
 

@@ -39,8 +39,8 @@ void check(bool ok, const char* what) {
 }
 
 /// One small instrumented service workload: n x n grid Laplacian,
-/// factorize + a couple of solves, every span and metric captured in the
-/// private registry/tracer.
+/// factorize, refactorize, solve and a cached factorize, every span and
+/// metric captured in the private registry/tracer.
 void run_workload(obs::MetricsRegistry& registry, obs::Tracer& tracer,
                   RuntimeKind runtime, int grid) {
   OptionsBuilder b;
@@ -56,6 +56,16 @@ void run_workload(obs::MetricsRegistry& registry, obs::Tracer& tracer,
                  fr.error.c_str());
     ++failures;
     return;
+  }
+  // Doubling every value keeps the Laplacian SPD.
+  std::vector<real_t> values(a->values().begin(), a->values().end());
+  for (real_t& v : values) v *= 2;
+  const service::FactorizeResult rr =
+      svc.refactorize("obs-dump", fr.factor, std::move(values));
+  if (!rr.ok()) {
+    std::fprintf(stderr, "obs_dump: refactorize failed: %s\n",
+                 rr.error.c_str());
+    ++failures;
   }
   std::vector<real_t> rhs(static_cast<std::size_t>(a->ncols()), 1.0);
   (void)svc.solve("obs-dump", fr.factor, rhs);
@@ -103,11 +113,14 @@ int self_check() {
   const std::vector<obs::SpanRecord> spans = tracer.snapshot();
   check(!spans.empty(), "workload recorded spans");
   std::uint64_t factorize_trace = 0;
-  std::vector<std::uint64_t> factorize_spans;
+  std::vector<std::uint64_t> factorize_spans;  // factorize + refactorize
   std::size_t tasks = 0, queue_waits = 0;
   for (const obs::SpanRecord& s : spans) {
     if (std::strcmp(s.name, "solver.factorize") == 0) {
       factorize_trace = s.trace_id;
+      factorize_spans.push_back(s.span_id);
+    }
+    if (std::strcmp(s.name, "solver.refactorize") == 0) {
       factorize_spans.push_back(s.span_id);
     }
     if (std::strcmp(s.track, "worker-") == 0) ++tasks;
@@ -121,11 +134,37 @@ int self_check() {
     if (std::strcmp(s.name, "solver.assemble") != 0) continue;
     check(std::find(factorize_spans.begin(), factorize_spans.end(),
                     s.parent_id) != factorize_spans.end(),
-          "solver.assemble parented under solver.factorize");
+          "solver.assemble parented under solver.(re)factorize");
     ++assembles;
   }
   check(assembles > 0 && assembles == factorize_spans.size(),
-        "one solver.assemble span per solver.factorize");
+        "one solver.assemble span per solver.(re)factorize");
+  // A request on an existing factor parents its solver span under its
+  // own request span, in its own trace -- not under the request that
+  // built the factor.
+  const auto parent_of = [&spans](const obs::SpanRecord& s) {
+    const obs::SpanRecord* found = nullptr;
+    for (const obs::SpanRecord& p : spans) {
+      if (p.span_id == s.parent_id) found = &p;
+    }
+    return found;
+  };
+  std::size_t refactorizes = 0, solves = 0;
+  for (const obs::SpanRecord& s : spans) {
+    const bool refactorize = std::strcmp(s.name, "solver.refactorize") == 0;
+    if (!refactorize && std::strcmp(s.name, "solver.solve") != 0) continue;
+    const obs::SpanRecord* p = parent_of(s);
+    const bool ok = p != nullptr && p->trace_id == s.trace_id &&
+                    std::strcmp(p->name, refactorize
+                                             ? "service.refactorize"
+                                             : "service.solve.batch") == 0;
+    check(ok, refactorize
+                  ? "solver.refactorize parented under service.refactorize"
+                  : "solver.solve parented under service.solve.batch");
+    ++(refactorize ? refactorizes : solves);
+  }
+  check(refactorizes == 1, "one solver.refactorize span");
+  check(solves == 1, "one solver.solve span");
   std::size_t tasks_in_trace = 0;
   for (const obs::SpanRecord& s : spans) {
     if (std::strcmp(s.track, "worker-") != 0) continue;
@@ -151,11 +190,14 @@ int self_check() {
   }
 
   // 4. Registry reconciliation: the mirrored service counters match the
-  // canonical atomics' semantics (2 submits + 1 solve, 1 cache hit).
-  check(registry.value("spx_service_submitted_total") == 3.0,
+  // canonical atomics' semantics (2 factorizes + 1 refactorize + 1
+  // solve, 1 cache hit).
+  check(registry.value("spx_service_submitted_total") == 4.0,
         "submitted counter reconciles");
   check(registry.value("spx_service_factorizes_total") == 2.0,
         "factorize counter reconciles");
+  check(registry.value("spx_service_refactorizes_total") == 1.0,
+        "refactorize counter reconciles");
   check(registry.value("spx_service_solves_total") == 1.0,
         "solve counter reconciles");
   check(registry.value("spx_analysis_cache_hits_total") == 1.0,
