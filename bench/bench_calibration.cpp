@@ -138,8 +138,8 @@ int main(int argc, char** argv) {
   std::printf("holdout median |err|: panel-kernels %.1f%%, gemm %.1f%% "
               "%s\n\n",
               100.0 * hold_panel, 100.0 * hold_gemm,
-              hold_ok ? "(within the 25%% target)"
-                      : "(ABOVE the 25%% target)");
+              hold_ok ? "(within the 25% target)"
+                      : "(ABOVE the 25% target)");
 
   // 4. Validate against real factorizations.  Pass 1 predicts from the
   // fitted kernel tables alone; pass 2 re-runs after online refinement has

@@ -34,6 +34,7 @@
 #include "core/analysis.hpp"
 #include "core/factor_data.hpp"
 #include "mat/generators.hpp"
+#include "obs/export.hpp"
 #include "runtime/data_directory.hpp"
 #include "runtime/device_engine.hpp"
 #include "runtime/flop_costs.hpp"
@@ -148,7 +149,7 @@ int main(int argc, char** argv) {
 
   // ---- ctest gate ------------------------------------------------------
   if (max_engines < 2) return fail("--smoke needs --engines >= 2");
-  const std::string j = to_json(smoke_on).dump();
+  const std::string j = obs::to_json(smoke_on).dump();
   if (j.find("\"bytes_h2d\"") == std::string::npos ||
       j.find("\"bytes_d2h\"") == std::string::npos) {
     return fail("RunStats JSON lacks transfer-byte keys");

@@ -4,7 +4,10 @@
 // (numerically identical results), then replays the same schedule on the
 // simulated 12-core / 3-GPU Mirage node -- the configuration the paper's
 // Figures 2 and 4 evaluate.
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <optional>
 
 #include "common/cli.hpp"
@@ -12,11 +15,11 @@
 #include "core/sim_runner.hpp"
 #include "core/solver.hpp"
 #include "mat/surrogates.hpp"
+#include "obs/export.hpp"
 #include "perfmodel/perf_model.hpp"
 #include "runtime/flop_costs.hpp"
 #include "runtime/parsec_scheduler.hpp"
 #include "runtime/real_driver.hpp"
-#include "runtime/trace.hpp"
 
 using namespace spx;
 
@@ -75,13 +78,20 @@ int main(int argc, char** argv) {
     Machine machine(threads);
     FlopCosts costs(table);
     ParsecScheduler sched(table, machine, costs);
-    TraceRecorder trace;
+    obs::Tracer tracer;
     RealDriverOptions dopts;
-    dopts.instr.trace = &trace;
+    dopts.instr.tracer = &tracer;
     execute_real(sched, machine, f, dopts);
-    trace.write_chrome_json_file(trace_path);
-    std::printf("\nwrote %zu task events to %s (open in chrome://tracing)\n",
-                trace.num_events(), trace_path.c_str());
+    const std::vector<obs::SpanRecord> spans = tracer.snapshot();
+    std::ofstream out(trace_path);
+    SPX_CHECK_ARG(out.good(), "cannot open trace file " + trace_path);
+    obs::write_chrome_trace(spans, out);
+    const auto tasks =
+        std::count_if(spans.begin(), spans.end(), [](const auto& s) {
+          return std::strcmp(s.track, "worker-") == 0;
+        });
+    std::printf("\nwrote %zu task spans to %s (open in chrome://tracing)\n",
+                static_cast<std::size_t>(tasks), trace_path.c_str());
   }
 
   std::printf("\n--- simulated Mirage node (12 cores, + GPUs) ---\n");

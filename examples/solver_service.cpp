@@ -18,6 +18,7 @@
 #include "common/cli.hpp"
 #include "common/json.hpp"
 #include "mat/generators.hpp"
+#include "obs/export.hpp"
 #include "service/solve_service.hpp"
 
 using namespace spx;
@@ -102,8 +103,8 @@ int main(int argc, char** argv) {
 
   // --- the stats surface ------------------------------------------------
   std::printf("\nlast fem request as JSON:\n%s\n",
-              fem.stats.to_json().dump().c_str());
+              obs::to_json(fem.stats).dump().c_str());
   std::printf("\nservice totals as JSON:\n%s\n",
-              svc.stats().to_json().dump().c_str());
+              obs::to_json(svc.stats()).dump().c_str());
   return 0;
 }

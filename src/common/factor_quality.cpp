@@ -12,6 +12,4 @@ void FactorQuality::export_json(obs::JsonWriter& w) const {
       .field("indefinite", indefinite);
 }
 
-json::Value to_json(const FactorQuality& q) { return obs::to_json(q); }
-
 }  // namespace spx

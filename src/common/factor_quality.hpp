@@ -71,7 +71,4 @@ struct FactorQuality : obs::Exportable {
   void export_json(obs::JsonWriter& w) const override;
 };
 
-/// Compatibility shim over the obs::Exportable path (same keys).
-json::Value to_json(const FactorQuality& q);
-
 }  // namespace spx

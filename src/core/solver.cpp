@@ -1,5 +1,6 @@
 #include "core/solver.hpp"
 
+#include <optional>
 #include <thread>
 
 #include "common/log.hpp"
@@ -345,62 +346,42 @@ void Solver<T>::factorize_numeric(obs::SpanContext parent) {
     } else {
       costs = std::make_unique<FlopCosts>(table);
     }
+    // One machine for every task runtime: the CPU workers, then one GPU
+    // per hetero device, each stream behind its device engine.  StarPU's
+    // dedicated-core convention (paper §V-C) removes one CPU worker per
+    // stream; a CPU-only run gets `threads` workers.
     const HeteroOptions& hetero = options_.hetero;
-    if (hetero.enabled()) {
-      SPX_CHECK_ARG(options_.runtime == RuntimeKind::Starpu ||
-                        options_.runtime == RuntimeKind::Parsec,
-                    "hetero devices require the starpu or parsec runtime");
-      SPX_CHECK_ARG(options_.num_gpu_streams == 0,
-                    "hetero devices and num_gpu_streams are exclusive");
-    }
+    SPX_CHECK_ARG(!hetero.enabled() ||
+                      options_.runtime == RuntimeKind::Starpu ||
+                      options_.runtime == RuntimeKind::Parsec,
+                  "hetero devices require the starpu or parsec runtime");
+    const int ndev = static_cast<int>(hetero.devices.size());
+    const int spe = hetero.uniform_streams();
+    const Machine machine(std::max(1, threads - ndev * spe), ndev, spe);
+    dopts.hetero = hetero;
     switch (options_.runtime) {
       case RuntimeKind::Native: {
-        Machine machine(threads);
         NativeScheduler sched(table, machine, *costs);
         dopts.fused_ldlt = false;  // native prescales per panel
         stats_ = execute_real(sched, machine, *factors_, dopts);
         break;
       }
       case RuntimeKind::Starpu: {
-        dopts.fused_ldlt = true;
+        // With devices, a live coherence directory is shared between dmda
+        // placement and the engines' staging, so transfer penalties track
+        // real residency.
+        std::optional<DataDirectory> directory;
         if (hetero.enabled()) {
-          // Device engines: one GPU per spec, StarPU's dedicated-core
-          // convention (one CPU worker removed per stream), and a live
-          // coherence directory shared between dmda placement and the
-          // engines' staging, so transfer penalties track real residency.
-          const int ndev = static_cast<int>(hetero.devices.size());
-          const int spe = hetero.uniform_streams();
-          Machine machine(std::max(1, threads - ndev * spe), ndev, spe);
-          DataDirectory directory(analysis_->structure, kind, sizeof(T),
-                                  ndev);
-          StarpuScheduler sched(table, machine, *costs, options_.starpu,
-                                &directory);
-          dopts.hetero = hetero;
-          dopts.hetero.directory = &directory;
-          stats_ = execute_real(sched, machine, *factors_, dopts);
-          break;
+          directory.emplace(analysis_->structure, kind, sizeof(T), ndev);
+          dopts.hetero.directory = &*directory;
         }
-        // StarPU dedicates a CPU worker per (emulated) GPU stream.
-        const int cpus = std::max(1, threads - options_.num_gpu_streams);
-        Machine machine(cpus, options_.num_gpu_streams > 0 ? 1 : 0,
-                        std::max(1, options_.num_gpu_streams));
-        StarpuScheduler sched(table, machine, *costs, options_.starpu);
+        StarpuScheduler sched(table, machine, *costs, options_.starpu,
+                              directory ? &*directory : nullptr);
         stats_ = execute_real(sched, machine, *factors_, dopts);
         break;
       }
       case RuntimeKind::Parsec: {
-        dopts.fused_ldlt = true;
-        if (hetero.enabled()) {
-          const int ndev = static_cast<int>(hetero.devices.size());
-          const int spe = hetero.uniform_streams();
-          Machine machine(std::max(1, threads - ndev * spe), ndev, spe);
-          ParsecScheduler sched(table, machine, *costs, options_.parsec);
-          dopts.hetero = hetero;  // driver owns the directory
-          stats_ = execute_real(sched, machine, *factors_, dopts);
-          break;
-        }
-        Machine machine(threads, options_.num_gpu_streams > 0 ? 1 : 0,
-                        std::max(1, options_.num_gpu_streams));
+        // With devices, the driver owns the coherence directory.
         ParsecScheduler sched(table, machine, *costs, options_.parsec);
         stats_ = execute_real(sched, machine, *factors_, dopts);
         break;

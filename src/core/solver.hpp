@@ -61,16 +61,12 @@ struct SolverOptions {
   RuntimeKind runtime = RuntimeKind::Native;
   /// Worker threads for the task runtimes (0 = hardware concurrency).
   int num_threads = 0;
-  /// Emulated GPU-stream workers appended to the CPU workers (exercises
-  /// the device code path against unified memory, with no staging).  For
-  /// full heterogeneous execution -- staged transfers, residency
-  /// tracking, eviction -- use `hetero` instead.
-  int num_gpu_streams = 0;
   /// Heterogeneous execution through the device-engine layer: one
   /// emulated accelerator per entry in `hetero.devices`, with throttled
   /// staging transfers and dmda placement against the live coherence
-  /// directory (docs/DEVICE_ENGINES.md).  Starpu and Parsec runtimes
-  /// only; mutually exclusive with `num_gpu_streams`.
+  /// directory (docs/DEVICE_ENGINES.md).  Its streams take the place of
+  /// as many of the `num_threads` CPU workers.  Starpu and Parsec
+  /// runtimes only; empty = CPU-only.
   HeteroOptions hetero;
   StarpuOptions starpu;
   ParsecOptions parsec;
@@ -96,9 +92,9 @@ struct SolverOptions {
   /// Iteration cap of the automatic refinement.
   int refine_max_iter = 20;
   /// Instrumentation layer (metrics registry, span tracer + parent
-  /// context, legacy chrome trace, fault harness), inherited by the real
-  /// driver on every factorize().  The fault harness is also passed to
-  /// FactorData as AllocationHook.  Set once -- e.g. via OptionsBuilder
+  /// context, fault harness), inherited by the real driver on every
+  /// factorize().  The fault harness is also passed to FactorData as
+  /// AllocationHook.  Set once -- e.g. via OptionsBuilder
   /// (service/options_builder.hpp) -- instead of per layer.
   obs::InstrumentationOptions instr;
 };

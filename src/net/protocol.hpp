@@ -18,7 +18,7 @@
 //     span id), threading the obs trace across the wire; 0 means "none".
 //   * Responses carry the structured outcome (status + ErrorCode), the
 //     serving shard's name, and the full RequestStats/RunStats surface as
-//     a JSON document -- the same bytes `RequestStats::to_json().dump()`
+//     a JSON document -- the same bytes `obs::to_json(RequestStats).dump()`
 //     produces in-process.
 //
 // This header depends only on mat/csc.hpp and the common layer; no
@@ -160,7 +160,7 @@ struct FactorizeResponseFrame {
   std::uint64_t factor_id = 0;  ///< valid iff status == Done
   std::string shard;            ///< serving shard's name (affinity checks)
   std::string error;
-  std::string stats_json;  ///< RequestStats::to_json().dump() (incl RunStats)
+  std::string stats_json;  ///< obs::to_json(RequestStats).dump() (+RunStats)
 };
 
 struct SolveResponseFrame {

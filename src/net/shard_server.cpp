@@ -248,7 +248,7 @@ void ShardServer::handle_factorize(Connection& conn, std::uint64_t corr,
     }
     out.shard = options_.name;
     out.error = res.error;
-    out.stats_json = res.stats.to_json().dump();
+    out.stats_json = obs::to_json(res.stats).dump();
     // Cache only successes: a failed attempt must stay retryable on this
     // shard (e.g. after an injected fault or a transient overload).
     dedup_finish(key, encode_factorize_response(corr, out), res.ok());
@@ -305,7 +305,7 @@ void ShardServer::handle_solve(Connection& conn, std::uint64_t corr,
     out.degraded = res.stats.degraded;
     out.shard = options_.name;
     out.error = res.error;
-    out.stats_json = res.stats.to_json().dump();
+    out.stats_json = obs::to_json(res.stats).dump();
     out.x = res.x;
     dedup_finish(key, encode_solve_response(corr, out), res.ok());
   };
@@ -413,7 +413,7 @@ void ShardServer::handle_refactorize(Connection& conn, std::uint64_t corr,
     }
     out.shard = options_.name;
     out.error = res.error;
-    out.stats_json = res.stats.to_json().dump();
+    out.stats_json = obs::to_json(res.stats).dump();
     dedup_finish(key, encode_refactorize_response(corr, out), res.ok());
   };
   service::RequestOptions ropts;

@@ -5,8 +5,8 @@
 //     three divergent hand-rolled emitters; golden keys preserved).
 //   * Prometheus text exposition over a MetricsRegistry scrape.
 //   * Structured JSON over a MetricsRegistry scrape or a span stream.
-//   * Chrome-tracing JSON over a span stream (the format the legacy
-//     TraceRecorder used to hand-roll; byte-compatible for task spans).
+//   * Chrome-tracing JSON over a span stream: the task and transfer
+//     timelines of both drivers, one row per worker or DMA engine.
 #pragma once
 
 #include <iosfwd>
@@ -112,9 +112,8 @@ json::Value metrics_to_json(const MetricsRegistry& registry);
 // ---- span exporters -----------------------------------------------------
 
 /// Chrome-tracing "traceEvents" JSON (complete events, microseconds) over
-/// a span snapshot: one row per (track, resource), names of task spans
-/// rendered as "<kind> p<panel> [e<edge>]" exactly like the legacy
-/// TraceRecorder emitter this replaces.
+/// a span snapshot: one row per (track, resource), a span named
+/// "<name> p<arg0> [e<arg1>]" (a task: "<kind> p<panel> [e<edge>]").
 void write_chrome_trace(const std::vector<SpanRecord>& spans,
                         std::ostream& out);
 

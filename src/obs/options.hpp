@@ -9,7 +9,6 @@
 #include "obs/span.hpp"
 
 namespace spx {
-class TraceRecorder;
 class FaultInjector;
 }  // namespace spx
 
@@ -27,9 +26,6 @@ struct InstrumentationOptions {
   /// Parent context for every span emitted downstream: the solver parents
   /// its analyze/factorize/solve spans here, the driver its task spans.
   SpanContext parent;
-  /// Legacy chrome-trace recorder (runtime/trace.hpp), kept as a sink for
-  /// per-task events; itself backed by a bounded span ring.
-  spx::TraceRecorder* trace = nullptr;
   /// Fault-injection harness consulted at task start and factor
   /// allocation.  Must outlive the run.
   spx::FaultInjector* fault = nullptr;

@@ -25,8 +25,11 @@
 // emulated engines (runtime/device_engine.hpp) turn them into throttled
 // staging memcpys.  Model-based schedulers (dmda) read the directory to
 // estimate transfer penalties, concurrently with engine threads mutating
-// it, so every bit operation is a relaxed atomic: readers see *a* recent
-// placement (estimates tolerate staleness) and writers never tear.
+// it, so every bit operation is atomic: readers see *a* recent placement
+// (estimates tolerate staleness) and writers never tear.  Setting a valid
+// bit is a release and valid_on an acquire: an engine that finds a copy
+// valid without waiting (CpuEngine::acquire) also sees the bytes a
+// staging copy wrote there before the bit was set.
 #pragma once
 
 #include <atomic>
@@ -68,7 +71,7 @@ class DataDirectory {
   double panel_bytes(index_t p) const { return bytes_[p]; }
 
   bool valid_on(index_t p, int loc) const {
-    return (valid_[p].load(std::memory_order_relaxed) >> bit(loc)) & 1u;
+    return (valid_[p].load(std::memory_order_acquire) >> bit(loc)) & 1u;
   }
 
   /// True when the copy at `loc` is the sole authoritative instance (a
@@ -84,14 +87,14 @@ class DataDirectory {
 
   /// Records that a copy of p now exists at `loc` (after a transfer).
   void add_copy(index_t p, int loc) {
-    valid_[p].fetch_or(1u << bit(loc), std::memory_order_relaxed);
+    valid_[p].fetch_or(1u << bit(loc), std::memory_order_release);
   }
 
   /// Records a write to p at `loc`: all other copies become invalid, and
   /// a device writer's copy becomes dirty (host writes are never dirty --
   /// host memory is the home location).
   void note_write(index_t p, int loc) {
-    valid_[p].store(1u << bit(loc), std::memory_order_relaxed);
+    valid_[p].store(1u << bit(loc), std::memory_order_release);
     dirty_[p].store(loc == kHost ? 0u : 1u << bit(loc),
                     std::memory_order_relaxed);
   }

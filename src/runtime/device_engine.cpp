@@ -506,9 +506,6 @@ EngineGroup::EngineGroup(const Machine& machine, const HeteroOptions& options,
                          FaultInjector* fault, obs::MetricsRegistry& registry,
                          obs::Tracer* tracer, obs::SpanContext parent)
     : machine_(&machine), options_(options), directory_(&directory) {
-  SPX_CHECK_ARG(
-      machine.num_gpus() == static_cast<int>(options.devices.size()),
-      "machine GPU count does not match HeteroOptions device count");
   SPX_CHECK_ARG(directory.num_gpus() >= machine.num_gpus(),
                 "DataDirectory tracks fewer devices than the machine has");
   engines_.push_back(

@@ -149,7 +149,8 @@ class EngineGroup {
  public:
   /// `directory` and `store` must outlive the group; `fault`, `tracer`
   /// may be null.  Builds one CpuEngine plus one emulated engine per
-  /// HeteroOptions device; machine.num_gpus() must match.
+  /// HeteroOptions device; machine.num_gpus() must match (execute_real
+  /// checks it before building the group).
   EngineGroup(const Machine& machine, const HeteroOptions& options,
               DataDirectory& directory, PanelStore& store,
               FaultInjector* fault, obs::MetricsRegistry& registry,

@@ -65,18 +65,6 @@ class FactorPanelStore final : public PanelStore {
   std::mutex* locks_;
 };
 
-const char* task_kind_name(TaskKind k) {
-  switch (k) {
-    case TaskKind::Panel:
-      return "panel";
-    case TaskKind::Update:
-      return "update";
-    case TaskKind::Subtree:
-      return "subtree";
-  }
-  return "?";
-}
-
 /// Per-run metric handles, resolved once (registration takes a mutex;
 /// the hot path only touches the pre-resolved pointers through SPX_OBS).
 struct DriverMetrics {
@@ -87,7 +75,7 @@ struct DriverMetrics {
     static constexpr TaskKind kKinds[3] = {TaskKind::Panel, TaskKind::Update,
                                            TaskKind::Subtree};
     for (int k = 0; k < 3; ++k) {
-      const char* kind = task_kind_name(kKinds[k]);
+      const char* kind = to_string(kKinds[k]);
       for (int g = 0; g < 2; ++g) {
         tasks[k][g] = &reg.counter(
             "spx_tasks_executed_total", "Tasks executed by the real driver",
@@ -118,9 +106,8 @@ class RealRun {
         options_(options),
         registry_(obs::registry_or_global(options.instr.metrics)),
         metrics_(registry_),
-        tracer_(options.instr.tracer) {
-    trace_ = options.instr.trace;
-    fault_ = options.instr.fault;
+        tracer_(options.instr.tracer),
+        fault_(options.instr.fault) {
     panel_locks_ = std::make_unique<std::mutex[]>(
         static_cast<std::size_t>(f.structure().num_panels()));
     if (options_.hetero.enabled()) {
@@ -159,7 +146,6 @@ class RealRun {
           machine_, options_.hetero, *directory_, *store_, fault_, registry_,
           tracer_, task_parent_);
     }
-    run_clock_.reset();
     Timer wall;
     {
       std::vector<std::jthread> workers;
@@ -244,7 +230,6 @@ class RealRun {
         idle_wait_[static_cast<std::size_t>(r)] += idle.elapsed();
         continue;
       }
-      const double t0 = run_clock_.elapsed();
       // Heterogeneous runs stage the task's handles into this resource's
       // memory space before compute and propagate writes after; the
       // classic path (no engines) skips all of it.
@@ -282,12 +267,9 @@ class RealRun {
           machine_.resource(r).kind == ResourceKind::GpuStream;
       SPX_OBS(metrics_.observe(t, gpu, actual));
       SPX_OBS(if (tracer_ != nullptr) {
-        tracer_->record_span(task_kind_name(t.kind), "worker-", task_parent_,
+        tracer_->record_span(to_string(t.kind), "worker-", task_parent_,
                              span_start, tracer_->now(), r, t.panel, t.edge);
       });
-      if (trace_ != nullptr) {
-        trace_->record(r, t, t0, run_clock_.elapsed());
-      }
       observe_duration(t, r, actual);
       try {
         sched_.on_complete(t, r);
@@ -506,8 +488,7 @@ class RealRun {
   obs::MetricsRegistry& registry_;
   DriverMetrics metrics_;
   obs::Tracer* tracer_ = nullptr;
-  obs::SpanContext task_parent_;   ///< parent of every task span
-  TraceRecorder* trace_ = nullptr;  ///< effective legacy trace sink
+  obs::SpanContext task_parent_;  ///< parent of every task span
   FaultInjector* fault_ = nullptr;  ///< effective fault harness
   std::unique_ptr<std::mutex[]> panel_locks_;
   // Heterogeneous-execution state; all null/empty when hetero is off.
@@ -516,7 +497,6 @@ class RealRun {
   DataDirectory* directory_ = nullptr;  ///< effective coherence directory
   std::unique_ptr<EngineGroup> engines_;
   std::vector<double> stage_wait_;  ///< per-resource staging-block seconds
-  Timer run_clock_;
   std::mutex wake_mutex_;
   std::condition_variable wake_cv_;
   std::atomic<std::uint64_t> generation_{0};
@@ -536,6 +516,10 @@ class RealRun {
 template <typename T>
 RunStats execute_real(Scheduler& scheduler, const Machine& machine,
                       FactorData<T>& f, const RealDriverOptions& options) {
+  SPX_CHECK_ARG(machine.num_gpus() ==
+                    static_cast<int>(options.hetero.devices.size()),
+                "machine GPU count does not match hetero.devices: every "
+                "GPU stream runs behind a device engine");
   RealRun<T> run(scheduler, machine, f, options);
   return run.run();
 }

@@ -1,18 +1,17 @@
 // Real (threaded) execution driver.
 //
 // Runs a Scheduler with actual worker threads executing the numerical
-// codelets on the factor data.  GPU-stream resources are emulated by
-// ordinary threads running the buffer-free (Direct) update kernel -- the
-// code path a device would run -- against unified memory.
+// codelets on the factor data: one thread per Machine resource.
 //
-// With RealDriverOptions::hetero populated, the run additionally routes
-// every task through the pluggable device-engine layer
-// (runtime/device_engine.hpp): workers acquire their task's handles from
-// the engine owning their resource (blocking on throttled staging
-// transfers), release them afterwards (MSI write propagation), and pump
-// prefetches for queued device tasks so transfers overlap compute.  With
-// `hetero` empty this path compiles out to the classic CPU/unified
-// driver with zero per-task overhead.
+// A Machine with GPU streams needs one RealDriverOptions::hetero entry
+// per device: every stream runs behind the emulated accelerator engine
+// of its device (runtime/device_engine.hpp).  Workers acquire their
+// task's handles from the engine owning their resource (blocking on
+// throttled staging transfers), release them afterwards (MSI write
+// propagation), and pump prefetches for queued device tasks so transfers
+// overlap compute.  Streams run the buffer-free (Direct) update kernel,
+// the code path a device would run.  A CPU-only Machine with `hetero`
+// empty builds none of this machinery and pays no per-task overhead.
 //
 // Thread-safety contract: the generic schedulers serialize updates into
 // the same panel via their commute gating; the native scheduler's fused
@@ -28,7 +27,6 @@
 #include "runtime/fault_injection.hpp"
 #include "runtime/run_stats.hpp"
 #include "runtime/scheduler.hpp"
-#include "runtime/trace.hpp"
 
 namespace spx {
 
@@ -39,9 +37,9 @@ struct RealDriverOptions {
   /// fused tasks always prescale, regardless of this flag.
   bool fused_ldlt = true;
   /// Instrumentation layer: metrics registry, span tracer + parent
-  /// context, legacy chrome-trace recorder, and the fault harness.  All
-  /// sinks must outlive the run.  Usually inherited from SolverOptions
-  /// (which inherits it from OptionsBuilder) rather than set here.
+  /// context, and the fault harness.  All sinks must outlive the run.
+  /// Usually inherited from SolverOptions (which inherits it from
+  /// OptionsBuilder) rather than set here.
   obs::InstrumentationOptions instr;
   /// Optional cost oracle compared against measured durations to fill
   /// RunStats::model_error (Panel/Update tasks only; Subtree tasks have no
@@ -52,13 +50,16 @@ struct RealDriverOptions {
   /// thread-safe and outlive the run.
   TaskDurationObserver* observer = nullptr;
   /// Heterogeneous execution: one emulated accelerator engine per entry
-  /// in `hetero.devices`, matching the Machine's GPU count.  Empty =
-  /// classic unified-memory driver, no staging machinery at all.
+  /// in `hetero.devices`, which must match the Machine's GPU count (a
+  /// GPU stream always runs behind an engine).  Empty = CPU-only Machine,
+  /// no staging machinery at all.
   HeteroOptions hetero;
 };
 
 /// Factorizes `f` in place under `scheduler`; spawns one thread per
-/// machine resource.  Rethrows the first codelet exception.
+/// machine resource.  Throws InvalidArgument when the machine's GPU count
+/// differs from `options.hetero.devices.size()`; rethrows the first
+/// codelet exception.
 template <typename T>
 RunStats execute_real(Scheduler& scheduler, const Machine& machine,
                       FactorData<T>& f,

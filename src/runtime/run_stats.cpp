@@ -46,6 +46,4 @@ void RunStats::export_json(obs::JsonWriter& w) const {
   }
 }
 
-json::Value to_json(const RunStats& stats) { return obs::to_json(stats); }
-
 }  // namespace spx

@@ -131,7 +131,4 @@ struct RunStats : obs::Exportable {
   void export_json(obs::JsonWriter& w) const override;
 };
 
-/// Compatibility shim over the obs::Exportable path (same keys).
-json::Value to_json(const RunStats& stats);
-
 }  // namespace spx

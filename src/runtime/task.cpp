@@ -4,6 +4,18 @@
 
 namespace spx {
 
+const char* to_string(TaskKind k) {
+  switch (k) {
+    case TaskKind::Panel:
+      return "panel";
+    case TaskKind::Update:
+      return "update";
+    case TaskKind::Subtree:
+      return "subtree";
+  }
+  return "?";
+}
+
 TaskTable::TaskTable(const SymbolicStructure& st, Factorization kind)
     : st_(&st), kind_(kind), np_(st.num_panels()) {
   update_base_.resize(static_cast<std::size_t>(np_) + 1);

@@ -20,6 +20,10 @@ enum class TaskKind : std::uint8_t {
             ///< member panel, sequentially (future-work granularity knob)
 };
 
+/// "panel", "update" or "subtree": the name of a task's span and the
+/// `kind` label of its metrics.
+const char* to_string(TaskKind k);
+
 /// One schedulable unit, identified by kind + panel (+ edge for updates).
 struct Task {
   TaskKind kind = TaskKind::Panel;

@@ -45,11 +45,6 @@ class OptionsBuilder {
     instr_.parent = ctx;
     return *this;
   }
-  /// Legacy chrome-trace recorder fed with per-task events.
-  OptionsBuilder& chrome_trace(TraceRecorder* trace) {
-    instr_.trace = trace;
-    return *this;
-  }
   /// Fault-injection harness (task faults + allocation failures).
   OptionsBuilder& fault(FaultInjector* fault) {
     instr_.fault = fault;
@@ -65,10 +60,6 @@ class OptionsBuilder {
   }
   OptionsBuilder& threads(int n) {
     solver_.num_threads = n;
-    return *this;
-  }
-  OptionsBuilder& gpu_streams(int n) {
-    solver_.num_gpu_streams = n;
     return *this;
   }
   OptionsBuilder& cpu_variant(UpdateVariant v) {

@@ -106,8 +106,6 @@ void RequestStats::export_json(obs::JsonWriter& w) const {
   if (run.makespan > 0) w.object("run", run);
 }
 
-json::Value RequestStats::to_json() const { return obs::to_json(*this); }
-
 void AnalysisCacheStats::export_json(obs::JsonWriter& w) const {
   w.field("hits", hits)
       .field("misses", misses)
@@ -115,8 +113,6 @@ void AnalysisCacheStats::export_json(obs::JsonWriter& w) const {
       .field("bytes", bytes)
       .field("entries", entries);
 }
-
-json::Value AnalysisCacheStats::to_json() const { return obs::to_json(*this); }
 
 void TenantStats::export_json(obs::JsonWriter& w) const {
   w.field("submitted", submitted)
@@ -167,7 +163,5 @@ void ServiceStats::export_json(obs::JsonWriter& w) const {
         for (const auto& [name, ts] : tenants) t.object(name, ts);
       });
 }
-
-json::Value ServiceStats::to_json() const { return obs::to_json(*this); }
 
 }  // namespace spx::service

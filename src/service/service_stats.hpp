@@ -119,7 +119,6 @@ struct RequestStats : obs::Exportable {
   RunStats run;  ///< scheduler stats of the factorization (factorize only)
 
   void export_json(obs::JsonWriter& w) const override;
-  json::Value to_json() const;  ///< shim over the Exportable path
 };
 
 /// Analysis-cache counters (a snapshot; see service/analysis_cache.hpp).
@@ -131,7 +130,6 @@ struct AnalysisCacheStats : obs::Exportable {
   std::size_t entries = 0;  ///< current resident count
 
   void export_json(obs::JsonWriter& w) const override;
-  json::Value to_json() const;  ///< shim over the Exportable path
 };
 
 /// Per-tenant slice of the service counters, keyed by tenant name in
@@ -183,7 +181,6 @@ struct ServiceStats : obs::Exportable {
   const char* health() const;
 
   void export_json(obs::JsonWriter& w) const override;
-  json::Value to_json() const;  ///< shim over the Exportable path
 };
 
 }  // namespace spx::service

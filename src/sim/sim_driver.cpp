@@ -203,10 +203,11 @@ class Simulation {
       device_memory_[tr.dest].insert(tr.panel, tr.bytes);
     }
     if (options_.trace != nullptr) {
-      options_.trace->record_transfer(
-          g, tr.panel,
+      options_.trace->record_span(
+          tr.d2h ? "transfer.d2h" : "transfer.h2d", "dma-", {},
           dma_busy_until_[g] - model_.transfer_seconds(tr.bytes),
-          dma_busy_until_[g]);
+          dma_busy_until_[g], g, tr.panel,
+          static_cast<std::int64_t>(tr.bytes));
     }
     directory_.add_copy(tr.panel, tr.dest);
     (tr.d2h ? stats_.bytes_d2h : stats_.bytes_h2d) += tr.bytes;
@@ -342,7 +343,9 @@ class Simulation {
   void complete_task(int r) {
     const Staged s = current_[r];
     if (options_.trace != nullptr) {
-      options_.trace->record(r, s.task, task_start_[r], now_);
+      options_.trace->record_span(to_string(s.task.kind), "worker-", {},
+                                  task_start_[r], now_, r, s.task.panel,
+                                  s.task.edge);
     }
     const Resource& res = machine_.resource(r);
     const int loc =

@@ -12,10 +12,10 @@
 
 #include <memory>
 
+#include "obs/span.hpp"
 #include "runtime/data_directory.hpp"
 #include "runtime/run_stats.hpp"
 #include "runtime/scheduler.hpp"
-#include "runtime/trace.hpp"
 #include "sim/cost_model.hpp"
 
 namespace spx::sim {
@@ -30,9 +30,12 @@ struct SimOptions {
   /// its transfer estimates see the true data placement); the driver owns
   /// one internally when null.
   DataDirectory* directory = nullptr;
-  /// Optional trace sink: every task and transfer is recorded with its
-  /// virtual start/end times (chrome-tracing export in trace.hpp).
-  TraceRecorder* trace = nullptr;
+  /// Optional span sink, stamped in virtual seconds: one span per task
+  /// on track "worker-" (named by to_string(TaskKind), args panel and
+  /// edge) and one per DMA hop on track "dma-" ("transfer.h2d" or
+  /// "transfer.d2h", args panel and bytes), as the real driver and its
+  /// device engines record them.  obs::write_chrome_trace exports it.
+  obs::Tracer* trace = nullptr;
 };
 
 /// Runs the scheduler to completion in virtual time; returns statistics.

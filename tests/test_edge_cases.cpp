@@ -10,7 +10,10 @@
 #include "mat/generators.hpp"
 #include "mat/mm_io.hpp"
 #include "mat/triplets.hpp"
+#include "runtime/flop_costs.hpp"
 #include "runtime/machine.hpp"
+#include "runtime/parsec_scheduler.hpp"
+#include "runtime/real_driver.hpp"
 #include "test_support.hpp"
 
 namespace spx {
@@ -160,15 +163,32 @@ TEST(EdgeCases, MachineShapeValidation) {
   EXPECT_EQ(m.resource(2).gpu, 0);
   EXPECT_EQ(m.resource(7).gpu, 1);
   EXPECT_EQ(m.resource(7).stream, 2);
+
+  // The real driver runs a GPU stream only behind a device engine: the
+  // machine's GPU count must match hetero.devices.
+  const auto a = gen::grid2d_laplacian(6, 6);
+  const Analysis an = analyze(a);
+  FactorData<real_t> f(an.structure, Factorization::LLT);
+  f.initialize(permute_symmetric(a, an.perm));
+  TaskTable table(an.structure, Factorization::LLT);
+  FlopCosts costs(table);
+  const Machine gpu_machine(2, 1, 2);
+  ParsecScheduler sched(table, gpu_machine, costs);
+  EXPECT_THROW(execute_real(sched, gpu_machine, f), InvalidArgument);
+  RealDriverOptions two_engines;
+  two_engines.hetero.devices = {EngineSpec{.streams = 2},
+                                EngineSpec{.streams = 2}};
+  EXPECT_THROW(execute_real(sched, gpu_machine, f, two_engines),
+               InvalidArgument);
 }
 
 TEST(EdgeCases, SolverGpuStreamWorkersOnDiagonalHeavyMatrix) {
-  // Emulated GPU-stream workers must not deadlock when there is nothing
+  // Device-engine stream workers must not deadlock when there is nothing
   // eligible for them (all updates tiny).
   SolverOptions opts;
   opts.runtime = RuntimeKind::Parsec;
   opts.num_threads = 2;
-  opts.num_gpu_streams = 2;
+  opts.hetero.devices = {EngineSpec{.streams = 2}};
   opts.parsec.gpu_min_flops = 1e18;  // nothing ever qualifies
   Solver<real_t> solver(opts);
   const auto a = gen::grid2d_laplacian(9, 9);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
 
 #include "core/sequential.hpp"
 #include "mat/generators.hpp"
@@ -90,6 +91,17 @@ struct Config {
   bool fused_ldlt;
   OrderingMethod ordering;
 };
+
+/// Prints the fields: gtest's default byte dump of a Config includes its
+/// uninitialized padding, so the listed test names changed between runs.
+void PrintTo(const Config& c, std::ostream* os) {
+  static constexpr const char* kVariants[] = {"TempBuffer", "Direct"};
+  static constexpr const char* kOrderings[] = {
+      "NestedDissection", "MinimumDegree", "RCM", "Natural"};
+  *os << "{" << kVariants[static_cast<int>(c.variant)]
+      << ", fused_ldlt=" << (c.fused_ldlt ? "true" : "false") << ", "
+      << kOrderings[static_cast<int>(c.ordering)] << "}";
+}
 
 class FactorConfigs : public ::testing::TestWithParam<Config> {};
 

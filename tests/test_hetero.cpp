@@ -260,7 +260,7 @@ TEST(HeteroExecution, RunStatsJsonCarriesTransferKeys) {
   spec.bandwidth_gbps = 200.0;
   spec.latency_seconds = 0.0;
   const HeteroRun r = run_hetero(12, 12, spec, /*overlap=*/true);
-  const std::string j = to_json(r.stats).dump();
+  const std::string j = obs::to_json(r.stats).dump();
   EXPECT_NE(j.find("\"bytes_h2d\""), std::string::npos);
   EXPECT_NE(j.find("\"bytes_d2h\""), std::string::npos);
   EXPECT_NE(j.find("\"transfers_h2d\""), std::string::npos);
@@ -404,17 +404,6 @@ TEST(HeteroSolver, TwoEnginesThroughSolverOptions) {
     err = std::max(err, std::abs(got[i] - x[i]));
   }
   EXPECT_LT(err, kTol);
-}
-
-TEST(HeteroSolver, RejectsMixingWithLegacyGpuStreams) {
-  SolverOptions opts;
-  opts.runtime = RuntimeKind::Starpu;
-  opts.num_gpu_streams = 1;
-  opts.hetero.devices = {EngineSpec{}};
-  Solver<real_t> solver(opts);
-  const auto a = gen::grid2d_laplacian(6, 6);
-  solver.analyze(a);
-  EXPECT_THROW(solver.factorize(a, Factorization::LLT), InvalidArgument);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
 #include "runtime/run_stats.hpp"
-#include "runtime/trace.hpp"
 #include "service/options_builder.hpp"
 #include "service/service_stats.hpp"
 
@@ -188,23 +187,26 @@ TEST(Export, PrometheusMatchesGoldenFile) {
 }
 
 TEST(Export, ChromeTraceMatchesLegacyRecorderByteForByte) {
-  TraceRecorder rec;
-  rec.record(0, {TaskKind::Panel, 3, -1}, 0.0, 1.0);
-  rec.record(1, {TaskKind::Update, 5, 2}, 0.5, 1.5);
-  rec.record_transfer(0, 7, 0.1, 0.2);
+  // The task spans both drivers record, as the exporter names them.
+  obs::Tracer tracer;
+  tracer.record_span(to_string(TaskKind::Panel), "worker-", {}, 0.0, 1.0, 0,
+                     3);
+  tracer.record_span(to_string(TaskKind::Update), "worker-", {}, 0.5, 1.5,
+                     1, 5, 2);
+  tracer.record_span("transfer.h2d", "dma-", {}, 0.1, 0.2, 0, 7, 4096);
 
-  std::ostringstream via_recorder;
-  rec.write_chrome_json(via_recorder);
   std::ostringstream via_exporter;
-  obs::write_chrome_trace(rec.tracer().snapshot(), via_exporter);
-  EXPECT_EQ(via_recorder.str(), via_exporter.str());
+  obs::write_chrome_trace(tracer.snapshot(), via_exporter);
 
   // Legacy naming survives: "<kind> p<panel>[ e<edge>]" on "<track><id>".
-  const std::string out = via_recorder.str();
+  const std::string out = via_exporter.str();
   EXPECT_NE(out.find("\"name\": \"panel p3\""), std::string::npos);
   EXPECT_NE(out.find("\"name\": \"update p5 e2\""), std::string::npos);
   EXPECT_NE(out.find("\"tid\": \"worker-0\""), std::string::npos);
+  EXPECT_NE(out.find("\"tid\": \"worker-1\""), std::string::npos);
   EXPECT_NE(out.find("\"tid\": \"dma-0\""), std::string::npos);
+  EXPECT_NE(out.find("\"name\": \"transfer.h2d p7 e4096\""),
+            std::string::npos);
 }
 
 TEST(Export, SpansJsonCarriesIdsAndParentLinks) {
@@ -232,7 +234,7 @@ TEST(Export, RunStatsGoldenKeys) {
   st.gflops = 1.5;
   st.tasks_cpu = 10;
   st.tasks_gpu = 4;
-  const json::Value v = to_json(st);
+  const json::Value v = obs::to_json(st);
   EXPECT_EQ(v.at("makespan_s").as_number(), 2.0);
   EXPECT_EQ(v.at("gflops").as_number(), 1.5);
   EXPECT_EQ(v.at("tasks_cpu").as_number(), 10.0);
@@ -248,7 +250,7 @@ TEST(Export, FactorQualityGoldenKeys) {
   q.perturbed_pivots = 2;
   q.perturbed_columns = {1, 3};
   q.threshold = 1e-12;
-  const json::Value v = to_json(q);
+  const json::Value v = obs::to_json(q);
   EXPECT_EQ(v.at("perturbed_pivots").as_number(), 2.0);
   EXPECT_EQ(v.at("perturbed_columns").size(), 2u);
   EXPECT_FALSE(v.at("degraded").is_null());
@@ -264,7 +266,7 @@ TEST(Export, ServiceStatsGoldenKeys) {
   st.failed = 1;
   st.errors[0] = 4;
   st.cache.hits = 2;
-  const json::Value v = st.to_json();
+  const json::Value v = obs::to_json(st);
   EXPECT_EQ(v.at("submitted").as_number(), 5.0);
   EXPECT_EQ(v.at("completed").as_number(), 4.0);
   EXPECT_EQ(v.at("failed").as_number(), 1.0);

@@ -318,8 +318,8 @@ TEST(QualityJson, RunStatsCarryQualityKeys) {
   Solver<real_t> solver;
   solver.analyze(a);
   solver.factorize(a, Factorization::LDLT);
-  const json::Value v =
-      json::Value::parse(to_json(solver.last_factorization_stats()).dump());
+  const json::Value v = json::Value::parse(
+      obs::to_json(solver.last_factorization_stats()).dump());
   EXPECT_TRUE(v.at("degraded").as_bool());
   const json::Value& q = v.at("quality");
   for (const char* key :
@@ -445,7 +445,7 @@ TEST(ServiceResilience, StatsJsonCarriesErrorAndHealthKeys) {
   SolveService svc;
   const auto a = gen::grid2d_laplacian(8, 8);
   ASSERT_TRUE(svc.factorize("t", shared(a), Factorization::LLT).ok());
-  const json::Value v = json::Value::parse(svc.stats().to_json().dump());
+  const json::Value v = json::Value::parse(obs::to_json(svc.stats()).dump());
   EXPECT_NE(v.find("retries"), nullptr);
   EXPECT_EQ(v.at("health").as_string(), "ok");
   const json::Value& e = v.at("errors");

@@ -240,21 +240,49 @@ TEST(TaskTable, BottomLevelsDecreaseTowardRoot) {
 struct RtCase {
   RuntimeKind runtime;
   int threads;
-  int gpu_streams;
+  int gpu_streams;  ///< streams of one emulated device engine; 0 = none
 };
 
 class RuntimeNumerics : public ::testing::TestWithParam<RtCase> {};
 
-TEST_P(RuntimeNumerics, CholeskyResidual) {
-  const RtCase c = GetParam();
+SolverOptions rt_options(const RtCase& c) {
   SolverOptions opts;
   opts.runtime = c.runtime;
   opts.num_threads = c.threads;
-  opts.num_gpu_streams = c.gpu_streams;
-  Solver<real_t> solver(opts);
+  if (c.gpu_streams > 0) {
+    // Every update qualifies for the device, so work reaches the streams.
+    opts.hetero.devices = {EngineSpec{.streams = c.gpu_streams}};
+    opts.starpu.gpu_min_flops = 0;
+    opts.parsec.gpu_min_flops = 0;
+  }
+  return opts;
+}
+
+/// The machine a runtime case factorized on: `threads` resources (device
+/// streams replace CPU workers one for one), and work on the streams
+/// under StarPU's dmda.  PaRSEC's CPU workers help drain the device queue
+/// and usually beat the staged streams to it, so its stream count is not
+/// checked.
+void expect_machine(const RtCase& c, const Solver<real_t>& solver) {
+  const RunStats& st = solver.last_factorization_stats();
+  if (c.runtime != RuntimeKind::Sequential) {
+    EXPECT_EQ(st.busy.size(), static_cast<std::size_t>(c.threads));
+  }
+  if (c.gpu_streams > 0 && c.runtime == RuntimeKind::Starpu) {
+    EXPECT_GT(st.tasks_gpu, 0);
+  }
+  if (c.gpu_streams == 0) {
+    EXPECT_EQ(st.tasks_gpu, 0);
+  }
+}
+
+TEST_P(RuntimeNumerics, CholeskyResidual) {
+  const RtCase c = GetParam();
+  Solver<real_t> solver(rt_options(c));
   const auto a = gen::grid3d_laplacian(6, 6, 6);
   solver.analyze(a);
   solver.factorize(a, Factorization::LLT);
+  expect_machine(c, solver);
   Rng rng(77);
   std::vector<real_t> x(a.ncols()), b(a.ncols());
   for (auto& v : x) v = rng.uniform(-1, 1);
@@ -270,16 +298,12 @@ TEST_P(RuntimeNumerics, CholeskyResidual) {
 
 TEST_P(RuntimeNumerics, LdltResidual) {
   const RtCase c = GetParam();
-  if (c.runtime == RuntimeKind::Native && c.gpu_streams > 0) GTEST_SKIP();
-  SolverOptions opts;
-  opts.runtime = c.runtime;
-  opts.num_threads = c.threads;
-  opts.num_gpu_streams = c.gpu_streams;
-  Solver<real_t> solver(opts);
+  Solver<real_t> solver(rt_options(c));
   Rng rng(79);
   const auto a = gen::random_sym_indefinite(150, 0.04, rng);
   solver.analyze(a);
   solver.factorize(a, Factorization::LDLT);
+  expect_machine(c, solver);
   std::vector<real_t> x(a.ncols()), b(a.ncols());
   for (auto& v : x) v = rng.uniform(-1, 1);
   a.multiply(x, b);
@@ -294,14 +318,11 @@ TEST_P(RuntimeNumerics, LdltResidual) {
 
 TEST_P(RuntimeNumerics, LuResidual) {
   const RtCase c = GetParam();
-  SolverOptions opts;
-  opts.runtime = c.runtime;
-  opts.num_threads = c.threads;
-  opts.num_gpu_streams = c.gpu_streams;
-  Solver<real_t> solver(opts);
+  Solver<real_t> solver(rt_options(c));
   const auto a = gen::convection_diffusion3d(6, 6, 5, 12.0);
   solver.analyze(a);
   solver.factorize(a, Factorization::LU);
+  expect_machine(c, solver);
   Rng rng(81);
   std::vector<real_t> x(a.ncols()), b(a.ncols());
   for (auto& v : x) v = rng.uniform(-1, 1);
@@ -877,7 +898,7 @@ const StressCase& stress_case() {
 /// exactly once (task counts), contention counters are populated, and the
 /// factor solves the original system.
 void stress_run(Scheduler& sched, const Machine& machine,
-                index_t expected_tasks) {
+                index_t expected_tasks, const HeteroOptions& hetero = {}) {
   const StressCase& sc = stress_case();
   ASSERT_GE(sc.an.structure.num_panels(), 450);
   FinishObserver obs(sched);
@@ -885,6 +906,7 @@ void stress_run(Scheduler& sched, const Machine& machine,
   f.initialize(permute_symmetric(sc.a, sc.an.perm));
   RealDriverOptions dopts;
   dopts.fused_ldlt = false;
+  dopts.hetero = hetero;
   const RunStats stats = execute_real(obs, machine, f, dopts);
   const auto nr = static_cast<std::size_t>(machine.num_resources());
   EXPECT_EQ(obs.observed_threads(), nr);
@@ -968,9 +990,11 @@ TEST(RuntimeStress, ParsecGpuStreamsMaxThreads) {
   Machine machine(stress_threads(), 1, 2);
   FlopCosts costs(table);
   ParsecOptions opts;
-  opts.gpu_min_flops = 1e4;  // push real work through the stream workers
+  opts.gpu_min_flops = 0;  // every update may go to the device's streams
   ParsecScheduler sched(table, machine, costs, opts);
-  stress_run(sched, machine, sc.expected_tasks);
+  HeteroOptions hetero;
+  hetero.devices = {EngineSpec{.streams = 2}};
+  stress_run(sched, machine, sc.expected_tasks, hetero);
 }
 
 TEST(RuntimeStress, ConcurrentSolvesMatchSequential) {

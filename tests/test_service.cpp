@@ -415,16 +415,16 @@ TEST(SolveService, RequestAndServiceStatsRoundTripThroughJson) {
   ASSERT_TRUE(sr.ok()) << sr.error;
 
   // Request stats: parseable JSON carrying the non-ASCII tenant intact.
-  const json::Value rq = json::Value::parse(fr.stats.to_json().dump());
+  const json::Value rq = json::Value::parse(obs::to_json(fr.stats).dump());
   EXPECT_EQ(rq.at("tenant").as_string(), "tenant-α");
   EXPECT_EQ(rq.at("cache").as_string(), "miss");
   EXPECT_GT(rq.at("factorize_s").as_number(), 0.0);
   EXPECT_GT(rq.at("run").at("makespan_s").as_number(), 0.0);
-  const json::Value sq = json::Value::parse(sr.stats.to_json().dump());
+  const json::Value sq = json::Value::parse(obs::to_json(sr.stats).dump());
   EXPECT_GE(sq.at("queue_wait_s").as_number(), 0.0);
   EXPECT_EQ(sq.at("batched_rhs").as_number(), 1.0);
 
-  const json::Value sv = json::Value::parse(svc.stats().to_json().dump());
+  const json::Value sv = json::Value::parse(obs::to_json(svc.stats()).dump());
   EXPECT_EQ(sv.at("submitted").as_number(), 2.0);
   EXPECT_EQ(sv.at("completed").as_number(), 2.0);
   EXPECT_EQ(sv.at("cache").at("misses").as_number(), 1.0);
@@ -693,7 +693,7 @@ TEST(SolveService, PerTenantStatsSlices) {
   EXPECT_EQ(silver.solves, 1u);
   EXPECT_EQ(silver.weight, 1.0);
   // The slices surface in the stats JSON too.
-  const json::Value sv = json::Value::parse(st.to_json().dump());
+  const json::Value sv = json::Value::parse(obs::to_json(st).dump());
   EXPECT_EQ(sv.at("tenants").at("gold").at("weight").as_number(), 4.0);
 }
 

@@ -1,24 +1,38 @@
-// Trace-recording tests: coverage, ordering, JSON export, and agreement
-// between recorded busy time and driver statistics.
+// Span-trace tests: coverage, ordering, JSON export, and agreement
+// between recorded busy time and driver statistics.  Both drivers record
+// into an obs::Tracer: the simulator in virtual seconds, the real driver
+// on the tracer's clock.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 #include <string_view>
 
 #include "core/sim_runner.hpp"
 #include "core/solver.hpp"
 #include "mat/generators.hpp"
+#include "obs/export.hpp"
 #include "runtime/flop_costs.hpp"
 #include "runtime/parsec_scheduler.hpp"
 #include "runtime/real_driver.hpp"
-#include "runtime/trace.hpp"
+#include "runtime/starpu_scheduler.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/sim_driver.hpp"
 
 namespace spx {
 namespace {
+
+/// Retained spans of `tracer` on timeline `track` ("worker-", "dma-").
+std::vector<obs::SpanRecord> on_track(const obs::Tracer& tracer,
+                                      const char* track) {
+  std::vector<obs::SpanRecord> out;
+  for (const obs::SpanRecord& s : tracer.snapshot()) {
+    if (std::strcmp(s.track, track) == 0) out.push_back(s);
+  }
+  return out;
+}
 
 TEST(Trace, SimRecordsEveryTask) {
   const Analysis an = analyze(gen::grid2d_laplacian(14, 14));
@@ -26,18 +40,18 @@ TEST(Trace, SimRecordsEveryTask) {
   sim::CostModel model(sim::mirage(), an.structure, Factorization::LLT, {});
   Machine machine(4);
   ParsecScheduler sched(table, machine, model);
-  TraceRecorder trace;
+  obs::Tracer trace;
   sim::SimOptions opts;
   opts.trace = &trace;
   const RunStats st = sim::simulate(sched, machine, table, model,
                                     an.total_flops(Factorization::LLT),
                                     opts);
-  EXPECT_EQ(trace.num_events(),
-            static_cast<std::size_t>(table.num_tasks()));
+  auto events = on_track(trace, "worker-");
+  EXPECT_EQ(events.size(), static_cast<std::size_t>(table.num_tasks()));
+  EXPECT_EQ(events.size(), trace.size());  // no transfers without GPUs
   // Events on a resource must not overlap, and busy time must match.
   std::vector<double> busy(machine.num_resources(), 0.0);
   std::vector<double> last_end(machine.num_resources(), 0.0);
-  auto events = trace.events();
   std::sort(events.begin(), events.end(),
             [](const auto& a, const auto& b) { return a.start < b.start; });
   for (const auto& e : events) {
@@ -60,13 +74,58 @@ TEST(Trace, SimRecordsTransfersWithGpus) {
   ParsecOptions popts;
   popts.gpu_min_flops = 1e5;
   ParsecScheduler sched(table, machine, model, popts);
-  TraceRecorder trace;
+  obs::Tracer trace;
   sim::SimOptions opts;
   opts.trace = &trace;
   opts.prefetch = false;
   sim::simulate(sched, machine, table, model,
                 an.total_flops(Factorization::LLT), opts);
-  EXPECT_GT(trace.num_transfers(), 0u);
+  EXPECT_GT(on_track(trace, "dma-").size(), 0u);
+  EXPECT_EQ(on_track(trace, "worker-").size(),
+            static_cast<std::size_t>(table.num_tasks()));
+}
+
+TEST(Trace, SimNamesTransfersLikeTheDeviceEngines) {
+  // The simulator's DMA spans carry the names, track and args that
+  // EmulatedAcceleratorEngine::note_transfer records in a real run:
+  // "transfer.h2d"/"transfer.d2h" on "dma-<gpu>", panel and bytes.
+  const Analysis an = analyze(gen::grid3d_laplacian(10, 10, 10));
+  TaskTable table(an.structure, Factorization::LLT);
+  sim::CostModel model(sim::mirage(), an.structure, Factorization::LLT, {});
+  Machine machine(4, 2, 1);
+  DataDirectory directory(an.structure, Factorization::LLT, sizeof(real_t),
+                          machine.num_gpus());
+  StarpuOptions sopts;
+  sopts.gpu_min_flops = 0;
+  StarpuScheduler sched(table, machine, model, sopts, &directory);
+  obs::Tracer trace;
+  sim::SimOptions opts;
+  opts.directory = &directory;
+  opts.trace = &trace;
+  const RunStats st = sim::simulate(sched, machine, table, model,
+                                    an.total_flops(Factorization::LLT),
+                                    opts);
+  ASSERT_GT(st.tasks_gpu, 0);
+  double h2d = 0.0, d2h = 0.0;
+  for (const obs::SpanRecord& s : on_track(trace, "dma-")) {
+    const std::string_view name = s.name;
+    ASSERT_TRUE(name == "transfer.h2d" || name == "transfer.d2h") << name;
+    EXPECT_GE(s.resource, 0);
+    EXPECT_LT(s.resource, machine.num_gpus());
+    EXPECT_GE(s.arg0, 0);  // panel
+    EXPECT_LT(s.arg0, an.structure.num_panels());
+    EXPECT_GT(s.arg1, 0);  // bytes
+    EXPECT_LE(s.start, s.end);
+    (name == "transfer.h2d" ? h2d : d2h) += static_cast<double>(s.arg1);
+  }
+  EXPECT_GT(h2d, 0.0);
+  EXPECT_GT(d2h, 0.0);
+  EXPECT_NEAR(h2d, st.bytes_h2d, 1e-6 * st.bytes_h2d + 8.0 * trace.size());
+  EXPECT_NEAR(d2h, st.bytes_d2h, 1e-6 * st.bytes_d2h + 8.0 * trace.size());
+  std::ostringstream out;
+  obs::write_chrome_trace(trace.snapshot(), out);
+  EXPECT_NE(out.str().find("\"tid\": \"dma-0\""), std::string::npos);
+  EXPECT_NE(out.str().find("\"cat\": \"transfer.h2d\""), std::string::npos);
 }
 
 TEST(Trace, RealDriverRecords) {
@@ -78,12 +137,23 @@ TEST(Trace, RealDriverRecords) {
   Machine machine(3);
   FlopCosts costs(table);
   ParsecScheduler sched(table, machine, costs);
-  TraceRecorder trace;
+  obs::Tracer trace;
   RealDriverOptions opts;
-  opts.instr.trace = &trace;
-  execute_real(sched, machine, f, opts);
-  EXPECT_EQ(trace.num_events(),
-            static_cast<std::size_t>(table.num_tasks()));
+  opts.instr.tracer = &trace;
+  const RunStats st = execute_real(sched, machine, f, opts);
+  auto events = on_track(trace, "worker-");
+  EXPECT_EQ(events.size(), static_cast<std::size_t>(table.num_tasks()));
+  // One worker thread per resource: its spans never overlap.
+  std::vector<double> last_end(machine.num_resources(), 0.0);
+  std::sort(events.begin(), events.end(),
+            [](const auto& a, const auto& b) { return a.start < b.start; });
+  for (const auto& e : events) {
+    ASSERT_GE(e.resource, 0);
+    ASSERT_LT(e.resource, machine.num_resources());
+    ASSERT_GE(e.start, last_end[e.resource]);
+    last_end[e.resource] = e.end;
+  }
+  EXPECT_EQ(st.busy.size(), static_cast<std::size_t>(machine.num_resources()));
 }
 
 TEST(Trace, ChromeJsonWellFormed) {
@@ -92,12 +162,12 @@ TEST(Trace, ChromeJsonWellFormed) {
   sim::CostModel model(sim::mirage(), an.structure, Factorization::LLT, {});
   Machine machine(2);
   ParsecScheduler sched(table, machine, model);
-  TraceRecorder trace;
+  obs::Tracer trace;
   sim::SimOptions opts;
   opts.trace = &trace;
   sim::simulate(sched, machine, table, model, 1e9, opts);
   std::ostringstream out;
-  trace.write_chrome_json(out);
+  obs::write_chrome_trace(trace.snapshot(), out);
   const std::string json = out.str();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   // Balanced braces and one record per event.
@@ -106,39 +176,40 @@ TEST(Trace, ChromeJsonWellFormed) {
   EXPECT_EQ(static_cast<std::size_t>(
                 std::count(json.begin(), json.end(), '\n')) -
                 3,  // header + footer lines
-            trace.num_events() - 1);
+            trace.size() - 1);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
 }
 
 TEST(Trace, ClearResets) {
-  TraceRecorder trace;
-  trace.record(0, {TaskKind::Panel, 3, -1}, 0.0, 1.0);
-  EXPECT_EQ(trace.num_events(), 1u);
+  obs::Tracer trace;
+  trace.record_span("panel", "worker-", {}, 0.0, 1.0, 0, 3);
+  EXPECT_EQ(trace.size(), 1u);
   trace.clear();
-  EXPECT_EQ(trace.num_events(), 0u);
+  EXPECT_EQ(trace.size(), 0u);
+  EXPECT_TRUE(trace.snapshot().empty());
 }
 
 TEST(Trace, JsonEscape) {
-  EXPECT_EQ(json_escape("plain p12 e3"), "plain p12 e3");
-  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(json_escape("x\ny\tz\r"), "x\\ny\\tz\\r");
-  EXPECT_EQ(json_escape(std::string_view("\x01\x1f", 2)),
+  EXPECT_EQ(obs::json_escape("plain p12 e3"), "plain p12 e3");
+  EXPECT_EQ(obs::json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(obs::json_escape("x\ny\tz\r"), "x\\ny\\tz\\r");
+  EXPECT_EQ(obs::json_escape(std::string_view("\x01\x1f", 2)),
             "\\u0001\\u001f");
 }
 
 TEST(Trace, JsonKeepsSubMicrosecondPrecisionPastOneSecond) {
   // Regression: default 6-significant-digit float formatting rounded ts
   // to whole milliseconds once start exceeded ~1 s.
-  TraceRecorder trace;
-  trace.record(0, {TaskKind::Panel, 1, -1}, 2.0000005, 2.0000015);
+  obs::Tracer trace;
+  trace.record_span("panel", "worker-", {}, 2.0000005, 2.0000015, 0, 1);
   std::ostringstream out;
-  trace.write_chrome_json(out);
+  obs::write_chrome_trace(trace.snapshot(), out);
   const std::string json = out.str();
   EXPECT_NE(json.find("\"ts\": 2000000.500"), std::string::npos) << json;
   EXPECT_NE(json.find("\"dur\": 1.000"), std::string::npos) << json;
   // Stream formatting state must be restored after export.
   std::ostringstream probe;
-  trace.write_chrome_json(probe);
+  obs::write_chrome_trace(trace.snapshot(), probe);
   probe << 0.5;
   EXPECT_NE(probe.str().find("0.5"), std::string::npos);
   EXPECT_EQ(probe.str().find("0.500000"), std::string::npos);
@@ -300,15 +371,15 @@ class MiniJsonReader {
 };
 
 TEST(Trace, ChromeJsonRoundTripsThroughParser) {
-  TraceRecorder trace;
+  obs::Tracer trace;
   // Names include every escaped class via the panel/edge digits plus the
   // long-run timestamps that used to lose precision.
-  trace.record(0, {TaskKind::Panel, 7, -1}, 0.25, 0.5);
-  trace.record(1, {TaskKind::Update, 7, 2}, 1.0000005, 1.25);
-  trace.record(0, {TaskKind::Subtree, 3, -1}, 3.5, 4.75);
-  trace.record_transfer(0, 9, 0.125, 0.375);
+  trace.record_span("panel", "worker-", {}, 0.25, 0.5, 0, 7);
+  trace.record_span("update", "worker-", {}, 1.0000005, 1.25, 1, 7, 2);
+  trace.record_span("subtree", "worker-", {}, 3.5, 4.75, 0, 3);
+  trace.record_span("transfer.h2d", "dma-", {}, 0.125, 0.375, 0, 9, 4096);
   std::ostringstream out;
-  trace.write_chrome_json(out);
+  obs::write_chrome_trace(trace.snapshot(), out);
   const std::string json = out.str();  // keep alive: reader holds pointers
   MiniJsonReader reader(json);
   ASSERT_TRUE(reader.parse()) << json;
