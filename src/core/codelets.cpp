@@ -79,25 +79,57 @@ void prescale_ldlt(const FactorData<T>& f, index_t p, Workspace<T>& ws) {
 
 namespace {
 
-/// Runs one GEMM of an update (rows [first_offset, nrows) of the source
-/// against block b) into the destination using the chosen path.
+/// Grows (never shrinks) a worker buffer to at least `n` entries; a
+/// resize down and back up would zero-fill the regrown part every call.
 template <typename T>
-void update_gemm(const Panel& sp, const Panel& dp, const Block& blk,
-                 index_t first_offset, const T* a, const T* b, index_t ld,
+T* grow(std::vector<T>& v, std::size_t n) {
+  if (v.size() < n) v.resize(n);
+  return v.data();
+}
+
+/// One side of the update along edge e, whose facing rows are the
+/// source storage rows [first_off, first_off + n): dst -= A * B^T through
+/// the edge's row map.  `a` is the source rows from map row `row0` down;
+/// `b` holds the n facing rows (leading dimension ldb).  With `trapezoid`
+/// (LL^T, LDL^T), each block's columns take the rows from that block
+/// down, since the target stores only its lower part; otherwise (LU)
+/// every block takes all rows from `row0`.
+template <typename T>
+void update_side(const SymbolicStructure& st, index_t src,
+                 const UpdateEdge& e, index_t first_off, index_t n,
+                 index_t row0, bool trapezoid, const T* a, const T* b,
                  index_t ldb, T* dst, UpdateVariant variant,
-                 const std::vector<k::RowSegment>& segs, Workspace<T>& ws) {
-  const index_t m = sp.nrows - first_offset;
-  const index_t n = blk.height();
+                 Workspace<T>& ws) {
+  const Panel& sp = st.panels[src];
+  const Panel& dp = st.panels[e.dst];
+  const std::span<const RowSegment> map = st.row_map(e);
+  const index_t m = sp.nrows - first_off - row0;
   const index_t kk = sp.width();
-  const index_t dst_col = blk.row_begin - dp.col_begin;
-  if (m <= 0 || n <= 0) return;
+  if (m <= 0) return;
   if (variant == UpdateVariant::TempBuffer) {
-    ws.w.resize(static_cast<std::size_t>(m) * n);
-    k::gemm_nt(m, n, kk, T(1), a, ld, b, ldb, T(0), ws.w.data(), m);
-    k::scatter_sub(segs, n, ws.w.data(), m, dst, dp.nrows, dst_col);
+    // One GEMM over the whole facing range (the paper's CPU kernel: GEMM
+    // into a buffer, then scatter).  For a trapezoid it also computes the
+    // rectangle above each block, which the scatter skips.
+    T* w = grow(ws.w, static_cast<std::size_t>(m) * n);
+    k::gemm_nt(m, n, kk, T(1), a, sp.nrows, b, ldb, T(0), w, m);
+    for (index_t bi = e.first_block; bi < e.last_block; ++bi) {
+      const Block& blk = sp.blocks[bi];
+      const index_t col = blk.offset - first_off;
+      const index_t r0 = trapezoid ? col : row0;
+      k::scatter_sub(map, blk.height(),
+                     w + static_cast<std::size_t>(col) * m + (r0 - row0), m,
+                     dst, dp.nrows, blk.row_begin - dp.col_begin, r0);
+    }
   } else {
-    k::gemm_nt_gapped(segs, n, kk, T(-1), a, ld, b, ldb, dst, dp.nrows,
-                      dst_col);
+    // One segmented GEMM per block straight into the gapped target.
+    for (index_t bi = e.first_block; bi < e.last_block; ++bi) {
+      const Block& blk = sp.blocks[bi];
+      const index_t col = blk.offset - first_off;
+      const index_t r0 = trapezoid ? col : row0;
+      k::gemm_nt_gapped(map, blk.height(), kk, T(-1), a + (r0 - row0),
+                        sp.nrows, b + col, ldb, dst, dp.nrows,
+                        blk.row_begin - dp.col_begin, r0);
+    }
   }
 }
 
@@ -109,75 +141,51 @@ void apply_update(FactorData<T>& f, index_t src, const UpdateEdge& e,
                   const T* prescaled) {
   const SymbolicStructure& st = f.structure();
   const Panel& sp = st.panels[src];
-  const Panel& dp = st.panels[e.dst];
   const index_t w = sp.width();
   const index_t ld = sp.nrows;
   const index_t first_off = sp.blocks[e.first_block].offset;
+  const index_t last_off = e.last_block < static_cast<index_t>(sp.blocks.size())
+                               ? sp.blocks[e.last_block].offset
+                               : sp.nrows;
+  const index_t n = last_off - first_off;
+  SPX_ASSERT(e.map_end > e.map_begin);  // build_row_maps ran
+  const T* l = f.panel_l(src) + first_off;
 
   switch (f.kind()) {
-    case Factorization::LLT: {
-      const T* l = f.panel_l(src);
-      T* dst = f.panel_l(e.dst);
-      for (index_t bi = e.first_block; bi < e.last_block; ++bi) {
-        const Block& blk = sp.blocks[bi];
-        // Trapezoid: rows from this block down, columns = this block.
-        const auto segs = k::build_row_segments(sp, blk.offset, dp);
-        update_gemm(sp, dp, blk, blk.offset, l + blk.offset,
-                    l + blk.offset, ld, ld, dst, variant, segs, ws);
-      }
+    case Factorization::LLT:
+      update_side(st, src, e, first_off, n, 0, true, l, l, ld,
+                  f.panel_l(e.dst), variant, ws);
       break;
-    }
     case Factorization::LDLT: {
-      const T* l = f.panel_l(src);
-      T* dst = f.panel_l(e.dst);
-      for (index_t bi = e.first_block; bi < e.last_block; ++bi) {
-        const Block& blk = sp.blocks[bi];
-        const auto segs = k::build_row_segments(sp, blk.offset, dp);
-        const T* b;
-        index_t ldb;
-        if (prescaled != nullptr) {
-          // Native path: blocks of the shared prescaled panel buffer.
-          b = prescaled + blk.offset;
-          ldb = ld;
-        } else {
-          // Generic-runtime path: rescale this block now (the fused,
-          // slower LDL^T update kernel).
-          ws.scaled.resize(static_cast<std::size_t>(blk.height()) * w);
-          k::scale_cols(blk.height(), w, l + blk.offset, ld, f.panel_d(src),
-                        ws.scaled.data(), blk.height());
-          b = ws.scaled.data();
-          ldb = blk.height();
-        }
-        update_gemm(sp, dp, blk, blk.offset, l + blk.offset, b, ld, ldb,
-                    dst, variant, segs, ws);
+      const T* b;
+      index_t ldb;
+      if (prescaled != nullptr) {
+        // Native path: the facing rows of the shared prescaled buffer.
+        b = prescaled + first_off;
+        ldb = ld;
+      } else {
+        // Generic-runtime path: D-scale the facing rows now (the fused,
+        // slower LDL^T update kernel).
+        T* scaled = grow(ws.scaled, static_cast<std::size_t>(n) * w);
+        k::scale_cols(n, w, l, ld, f.panel_d(src), scaled, n);
+        b = scaled;
+        ldb = n;
       }
+      update_side(st, src, e, first_off, n, 0, true, l, b, ldb,
+                  f.panel_l(e.dst), variant, ws);
       break;
     }
     case Factorization::LU: {
-      const T* l = f.panel_l(src);
-      const T* u = f.panel_u(src);
+      const T* u = f.panel_u(src) + first_off;
       // L side: rows from the first facing block down; the columns of the
       // target it touches include its own diagonal block (both triangles,
       // since U11 of the target lives there).
-      const auto lsegs = k::build_row_segments(sp, first_off, dp);
-      for (index_t bi = e.first_block; bi < e.last_block; ++bi) {
-        const Block& blk = sp.blocks[bi];
-        update_gemm(sp, dp, blk, first_off, l + first_off, u + blk.offset,
-                    ld, ld, f.panel_l(e.dst), variant, lsegs, ws);
-      }
+      update_side(st, src, e, first_off, n, 0, false, l, u, ld,
+                  f.panel_l(e.dst), variant, ws);
       // U side: rows strictly past the facing blocks (those correspond to
       // columns beyond the target panel, i.e. its U^T part).
-      const index_t last_off = e.last_block < static_cast<index_t>(sp.blocks.size())
-                                   ? sp.blocks[e.last_block].offset
-                                   : sp.nrows;
-      if (last_off < sp.nrows) {
-        const auto usegs = k::build_row_segments(sp, last_off, dp);
-        for (index_t bi = e.first_block; bi < e.last_block; ++bi) {
-          const Block& blk = sp.blocks[bi];
-          update_gemm(sp, dp, blk, last_off, u + last_off, l + blk.offset,
-                      ld, ld, f.panel_u(e.dst), variant, usegs, ws);
-        }
-      }
+      update_side(st, src, e, first_off, n, n, false, u + n, l, ld,
+                  f.panel_u(e.dst), variant, ws);
       break;
     }
   }

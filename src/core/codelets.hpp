@@ -12,12 +12,25 @@
 // GEMM shape), and Direct accumulates straight into the gapped target
 // panel (the modified-ASTRA GPU path, no extra device memory).
 //
-// For LDL^T, the update needs D-scaled source blocks.  The native
+// TempBuffer runs one GEMM per edge and side, over the edge's whole
+// facing range (the n source rows of its facing blocks, contiguous in
+// the panel), then subtracts the buffer block column by block column
+// through the edge's row map.  For LL^T and LDL^T each block's columns
+// are scattered from that block's own row down: the rectangle above each
+// trapezoid is computed (2-7% more update flops on the benchmark
+// matrices, DESIGN.md §17) but never written.  LU's L side
+// (rows from the first facing block) and U side (rows past the last one)
+// are one GEMM each with no extra flops.  Direct keeps one segmented GEMM
+// per block and side.  Both read the row map the analysis built for the
+// edge (SymbolicStructure::row_maps), clipped at the block or side's
+// first row, so a task allocates nothing beyond growing its workspace.
+//
+// For LDL^T, the update needs D-scaled source rows.  The native
 // scheduler's fused 1D task prescales the whole panel once into a scratch
 // reused by all its updates; the generic runtimes cannot share that buffer
 // across tasks (its life span would be unbounded -- paper §V-A), so each
-// update rescales its block: that is the "less efficient kernel that
-// performs the full LDL^T operation at each update".
+// update rescales the edge's facing rows: that is the "less efficient
+// kernel that performs the full LDL^T operation at each update".
 #pragma once
 
 #include "core/factor_data.hpp"
@@ -34,7 +47,7 @@ enum class UpdateVariant {
 template <typename T>
 struct Workspace {
   std::vector<T> w;        ///< outer-product buffer (TempBuffer path)
-  std::vector<T> scaled;   ///< D-scaled source block (LDL^T)
+  std::vector<T> scaled;   ///< D-scaled source rows (LDL^T)
 };
 
 /// Factorizes the diagonal block of panel p and solves its off-diagonal
@@ -48,9 +61,10 @@ void factor_panel(FactorData<T>& f, index_t p);
 template <typename T>
 void prescale_ldlt(const FactorData<T>& f, index_t p, Workspace<T>& ws);
 
-/// Applies the update along edge e of panel src onto panel e.dst.
+/// Applies the update along edge e of panel src onto panel e.dst; e must
+/// be an edge of the factor's structure (its row map is read from there).
 /// `prescaled` (optional) is the prescale_ldlt buffer; when null the
-/// LDL^T path rescales per block (the generic-runtime behaviour).
+/// LDL^T path rescales the facing rows (the generic-runtime behaviour).
 /// NOT thread-safe on the target panel: callers serialize updates into
 /// the same destination (the runtimes do this via commute access mode or
 /// per-panel locks).

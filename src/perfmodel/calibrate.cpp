@@ -193,12 +193,11 @@ CalPoint gemm_point(index_t m, index_t n, index_t k,
 /// Synthetic gapped destination: m source rows in 4 segments, each
 /// followed by a gap of m/8 rows, mimicking a sparse update whose target
 /// panel stores ~1.4x the updated rows.
-std::vector<kernels::RowSegment> synthetic_segments(index_t m,
-                                                    index_t* dst_rows) {
+std::vector<RowSegment> synthetic_segments(index_t m, index_t* dst_rows) {
   const index_t nseg = 4;
   const index_t seg = std::max<index_t>(1, m / nseg);
   const index_t gap = std::max<index_t>(1, m / 8);
-  std::vector<kernels::RowSegment> segs;
+  std::vector<RowSegment> segs;
   index_t src = 0, dst = 0;
   while (src < m) {
     const index_t len = std::min(seg, m - src);
@@ -214,8 +213,7 @@ CalPoint gapped_gemm_point(index_t m, index_t n, index_t k,
                            const CalibrationOptions& o) {
   Rng rng(17 + m + n + k);
   index_t dst_rows = 0;
-  const std::vector<kernels::RowSegment> segs =
-      synthetic_segments(m, &dst_rows);
+  const std::vector<RowSegment> segs = synthetic_segments(m, &dst_rows);
   const std::size_t foot =
       sizeof(real_t) * (static_cast<std::size_t>(m) * k +
                         static_cast<std::size_t>(n) * k +
@@ -247,8 +245,7 @@ CalPoint gapped_gemm_point(index_t m, index_t n, index_t k,
 CalPoint scatter_point(index_t m, index_t n, const CalibrationOptions& o) {
   Rng rng(19 + m + n);
   index_t dst_rows = 0;
-  const std::vector<kernels::RowSegment> segs =
-      synthetic_segments(m, &dst_rows);
+  const std::vector<RowSegment> segs = synthetic_segments(m, &dst_rows);
   // The W buffer stays warm on purpose (the real codelet's GEMM just
   // wrote it); only the scattered-into destination panels rotate cold.
   std::vector<real_t> wbuf(static_cast<std::size_t>(m) * n);

@@ -43,44 +43,57 @@ bool update_task_seconds(const PerfModel& model, const SymbolicStructure& st,
   const Panel& sp = st.panels[p];
   const UpdateEdge& edge = st.targets[p][e];
   const double w = sp.width();
-  const KernelClass gemm = res == ResourceKind::Cpu
-                               ? KernelClass::GemmNt
-                               : KernelClass::GemmNtGapped;
-  // One GEMM (+ scatter on the TempBuffer CPU path) per (block, side),
-  // with the executing codelet's exact row counts (codelets.cpp): the
-  // symmetric kinds update the trailing trapezoid per block; LU updates
-  // m rows from the first facing block on the L side plus -- only when
-  // rows remain past the facing blocks -- the strictly-below mirror on
-  // the U side.
-  double total = 0.0;
-  auto add_block = [&](double m, double nb) {
-    if (m <= 0.0 || nb <= 0.0) return true;
-    double gemm_s = 0.0;
-    if (!model.kernel_seconds(gemm, res, {m, nb, w}, &gemm_s)) return false;
-    total += gemm_s;
-    if (res == ResourceKind::Cpu) {
-      double scatter_s = 0.0;
-      if (!model.kernel_seconds(KernelClass::Scatter, res, {m, nb, 0.0},
-                                &scatter_s)) {
-        return false;
-      }
-      total += scatter_s;
-    }
-    return true;
-  };
   const index_t first_off = sp.blocks[edge.first_block].offset;
   const index_t last_off =
       edge.last_block < static_cast<index_t>(sp.blocks.size())
           ? sp.blocks[edge.last_block].offset
           : sp.nrows;
-  for (index_t b = edge.first_block; b < edge.last_block; ++b) {
-    const Block& blk = sp.blocks[b];
-    const double nb = blk.height();
-    if (kind == Factorization::LU) {
-      if (!add_block(sp.nrows - first_off, nb)) return false;  // L side
-      if (!add_block(sp.nrows - last_off, nb)) return false;   // U side
+  const double n = last_off - first_off;
+  const bool lu = kind == Factorization::LU;
+  double total = 0.0;
+  auto add = [&](KernelClass c, const KernelShape& shape) {
+    double s = 0.0;
+    if (!model.kernel_seconds(c, res, shape, &s)) return false;
+    total += s;
+    return true;
+  };
+  if (res == ResourceKind::Cpu) {
+    // The executing codelet's TempBuffer path (codelets.cpp): per side,
+    // one GEMM over the edge's whole facing range, then one scatter of
+    // the entries it writes -- every block's trapezoid for the symmetric
+    // kinds, the full m x n buffer for each LU side.
+    auto add_side = [&](double m, double entries) {
+      return m <= 0.0 || (add(KernelClass::GemmNt, {m, n, w}) &&
+                          add(KernelClass::Scatter, {entries / n, n, 0.0}));
+    };
+    if (lu) {
+      const double ml = sp.nrows - first_off;
+      const double mu = sp.nrows - last_off;
+      if (!add_side(ml, ml * n) || !add_side(mu, mu * n)) return false;
     } else {
-      if (!add_block(sp.nrows - blk.offset, nb)) return false;
+      double entries = 0.0;
+      for (index_t b = edge.first_block; b < edge.last_block; ++b) {
+        const Block& blk = sp.blocks[b];
+        entries += double(sp.nrows - blk.offset) * blk.height();
+      }
+      if (!add_side(sp.nrows - first_off, entries)) return false;
+    }
+  } else {
+    // The Direct path: one segmented GEMM per (block, side), with the
+    // trapezoid per block for the symmetric kinds and, for LU, m rows
+    // from the first facing block on the L side plus -- only when rows
+    // remain past the facing blocks -- the strictly-below mirror on the
+    // U side.
+    for (index_t b = edge.first_block; b < edge.last_block; ++b) {
+      const Block& blk = sp.blocks[b];
+      const double nb = blk.height();
+      const double m = sp.nrows - (lu ? first_off : blk.offset);
+      if (!add(KernelClass::GemmNtGapped, {m, nb, w})) return false;
+      if (lu && sp.nrows > last_off &&
+          !add(KernelClass::GemmNtGapped, {double(sp.nrows - last_off), nb,
+                                           w})) {
+        return false;
+      }
     }
   }
   *out = total;

@@ -9,7 +9,7 @@
 // Prediction order per task (snapshotted at construction, so scheduler
 // queries are plain array reads with zero locking):
 //   1. history layer (measured durations of same-class, same-size tasks);
-//   2. fitted kernel tables, via the block-wise decomposition below;
+//   2. fitted kernel tables, via the kernel decomposition below;
 //   3. the flop-proportional fallback (uncovered shapes / stale models).
 #pragma once
 
@@ -24,10 +24,11 @@ bool panel_task_seconds(const PerfModel& model, const SymbolicStructure& st,
                         Factorization kind, index_t p, ResourceKind res,
                         double* out);
 
-/// Kernel-table prediction for one update task, decomposed block-by-block
-/// exactly like the executing codelet: per-block GemmNt + one Scatter on
-/// CPUs (the TempBuffer path), per-block GemmNtGapped on GPU streams (the
-/// Direct path).  False when the model lacks a required table.
+/// Kernel-table prediction for one update task, decomposed like the
+/// executing codelet: on CPUs (the TempBuffer path), per side one GemmNt
+/// over the edge's whole facing range plus one Scatter of the entries it
+/// writes; on GPU streams (the Direct path), one GemmNtGapped per (block,
+/// side).  False when the model lacks a required table.
 bool update_task_seconds(const PerfModel& model, const SymbolicStructure& st,
                          Factorization kind, index_t p, index_t e,
                          ResourceKind res, double* out);

@@ -36,8 +36,9 @@
 namespace spx::perfmodel {
 
 /// The kernel families the calibration harness measures.  CPU workers run
-/// the TempBuffer update path (GemmNt + Scatter); GPU-stream workers run
-/// the buffer-free Direct path (GemmNtGapped), matching the real driver.
+/// the TempBuffer update path (one GemmNt per edge and side + Scatter);
+/// GPU-stream workers run the buffer-free Direct path (one GemmNtGapped
+/// per block and side), matching the real driver.
 enum class KernelClass : std::uint8_t {
   Potrf,         ///< diagonal-block Cholesky (LLT panels)
   Ldlt,          ///< diagonal-block LDL^T (LDLT panels)
@@ -72,7 +73,7 @@ TaskClass task_class_of(Factorization kind, TaskKind task);
 ///   Potrf/Ldlt/Getrf: n x n diagonal block (m = n = k)
 ///   TrsmPanel:        m rows solved against an n x n triangle
 ///   GemmNt[Gapped]:   C(m x n) -= A(m x k) * B(n x k)^T
-///   Scatter:          m x n buffer scattered into the target panel
+///   Scatter:          m x n entries scattered into the target panel
 struct KernelShape {
   double m = 0.0;
   double n = 0.0;

@@ -236,6 +236,17 @@ Analysis read_analysis(Reader& r) {
   st.in_degree = r.index_array();
   st.factor_entries = r.i64();
   st.nnz_factor = r.i64();
+  // Structural validation: a snapshot passing the CRC could still have
+  // been written by a buggy producer; never hand the factor kernels an
+  // inconsistent block structure.  The row maps are not stored; they are
+  // rebuilt from the validated blocks.
+  try {
+    st.validate();
+  } catch (const std::exception& e) {
+    throw SnapshotError(std::string("snapshot structure invalid: ") +
+                        e.what());
+  }
+  build_row_maps(st);
   return an;
 }
 
@@ -333,15 +344,6 @@ FactorSnapshot decode_snapshot(std::span<const std::uint8_t> bytes) {
   snap.dval = r.real_array();
   r.expect_end();
 
-  // Structural validation: a snapshot passing the CRC could still have
-  // been written by a buggy producer; never hand the factor kernels an
-  // inconsistent block structure.
-  try {
-    an.structure.validate();
-  } catch (const std::exception& e) {
-    throw SnapshotError(std::string("snapshot structure invalid: ") +
-                        e.what());
-  }
   const auto entries = static_cast<std::size_t>(an.structure.factor_entries);
   const auto ncols = static_cast<std::size_t>(an.structure.num_cols());
   const bool sizes_ok =

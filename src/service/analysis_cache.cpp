@@ -32,6 +32,7 @@ std::size_t AnalysisCache::analysis_bytes(const Analysis& an) {
   for (const Panel& p : st.panels) b += p.blocks.capacity() * sizeof(Block);
   b += st.targets.capacity() * sizeof(std::vector<UpdateEdge>);
   for (const auto& t : st.targets) b += t.capacity() * sizeof(UpdateEdge);
+  b += st.row_map_bytes();
   return b;
 }
 

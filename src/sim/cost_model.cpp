@@ -146,8 +146,10 @@ void CostModel::precompute() {
       for (index_t b = edge.first_block; b < edge.last_block; ++b) {
         const Block& blk = sp.blocks[b];
         const double nb = blk.height();
-        // L-side GEMM rows (trapezoid for symmetric, from the first facing
-        // block for LU; see codelets.cpp).
+        // L-side GEMM rows of the paper's per-block Mirage kernels
+        // (trapezoid for symmetric, from the first facing block for LU).
+        // The CPU codelet runs one GEMM per edge and side instead; this
+        // model keeps the paper's decomposition.
         const double m = sym ? sp.nrows - blk.offset : sp.nrows - first_off;
         double gemm_rate = cpu_rate(m, nb, w);
         if (ldlt && options_.ldlt == LdltStrategy::Fused) {

@@ -1,8 +1,10 @@
 #include "symbolic/structure.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/error.hpp"
+#include "kernels/scatter.hpp"
 
 namespace spx {
 
@@ -225,7 +227,31 @@ SymbolicStructure build_structure(const SupernodePartition& part,
   }
   st.factor_entries = storage;
   st.nnz_factor = nnz;
+  // Panels, blocks and edges were appended one at a time; drop the slack
+  // so that an analysis kept in the cache holds only what it uses.
+  st.panels.shrink_to_fit();
+  for (Panel& panel : st.panels) panel.blocks.shrink_to_fit();
+  for (auto& edges : st.targets) edges.shrink_to_fit();
+  build_row_maps(st);
   return st;
+}
+
+void build_row_maps(SymbolicStructure& st) {
+  st.row_maps.clear();
+  for (index_t p = 0; p < st.num_panels(); ++p) {
+    const Panel& sp = st.panels[p];
+    for (UpdateEdge& e : st.targets[p]) {
+      const auto segs = kernels::build_row_segments(
+          sp, sp.blocks[e.first_block].offset, st.panels[e.dst]);
+      SPX_ASSERT(st.row_maps.size() + segs.size() <=
+                 static_cast<std::size_t>(
+                     std::numeric_limits<index_t>::max()));
+      e.map_begin = static_cast<index_t>(st.row_maps.size());
+      st.row_maps.insert(st.row_maps.end(), segs.begin(), segs.end());
+      e.map_end = static_cast<index_t>(st.row_maps.size());
+    }
+  }
+  st.row_maps.shrink_to_fit();
 }
 
 }  // namespace spx

@@ -9,10 +9,13 @@
 // which is what allows an update task to target exactly one panel.
 //
 // The structure also carries the task-DAG adjacency (per-panel target
-// lists) used by all three runtimes, and the per-task flop counts used for
-// GFlop/s reporting and the simulation cost models.
+// lists) used by all three runtimes, the row map of every update edge
+// (built once here and shared by every numeric factorization of the
+// analysis), and the per-task flop counts used for GFlop/s reporting and
+// the simulation cost models.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/flops.hpp"
@@ -31,11 +34,11 @@ struct Block {
 };
 
 struct Panel {
-  index_t col_begin;   ///< first (permuted) column
-  index_t col_end;     ///< one past the last column
-  index_t supernode;   ///< owning supernode (pre-split)
-  size_type storage_offset;  ///< offset into the factor value array
-  index_t nrows;       ///< total rows = sum of block heights
+  index_t col_begin = 0;   ///< first (permuted) column
+  index_t col_end = 0;     ///< one past the last column
+  index_t supernode = 0;   ///< owning supernode (pre-split)
+  size_type storage_offset = 0;  ///< offset into the factor value array
+  index_t nrows = 0;       ///< total rows = sum of block heights
   /// blocks[0] is the diagonal block; the rest are below-diagonal, sorted
   /// by row_begin.
   std::vector<Block> blocks;
@@ -50,6 +53,21 @@ struct UpdateEdge {
   index_t dst;          ///< target panel
   index_t first_block;  ///< first off-diagonal block of src facing dst
   index_t last_block;   ///< one past the last such block
+  /// The edge's row map is SymbolicStructure::row_maps[map_begin,
+  /// map_end) (set by build_row_maps).
+  index_t map_begin = 0;
+  index_t map_end = 0;
+};
+
+/// One contiguous run of rows of a row map: `len` source rows starting
+/// at map row `src_offset` land at target storage rows starting at
+/// `dst_offset`.
+struct RowSegment {
+  index_t src_offset;
+  index_t dst_offset;
+  index_t len;
+
+  bool operator==(const RowSegment&) const = default;
 };
 
 struct SymbolicOptions {
@@ -69,6 +87,11 @@ class SymbolicStructure {
   std::vector<std::vector<UpdateEdge>> targets;
   /// Number of incoming update edges per panel.
   std::vector<index_t> in_degree;
+  /// Row maps of all update edges, one after another.  Edge (p -> dst)'s
+  /// map sends p's storage rows [first_off, nrows) -- first_off being the
+  /// offset of its first facing block, map row 0 -- onto dst's storage
+  /// rows, sorted by source row.
+  std::vector<RowSegment> row_maps;
   /// Total L storage in scalars (sum over panels of nrows * width).
   size_type factor_entries = 0;
   /// nnz(L) counting the diagonal block as a lower triangle (the value the
@@ -80,6 +103,16 @@ class SymbolicStructure {
     return static_cast<index_t>(panel_of_col.size());
   }
   size_type num_update_tasks() const;
+
+  /// Row map of edge e (see row_maps).
+  std::span<const RowSegment> row_map(const UpdateEdge& e) const {
+    return {row_maps.data() + e.map_begin,
+            static_cast<std::size_t>(e.map_end - e.map_begin)};
+  }
+  /// Bytes held by the row maps.
+  std::size_t row_map_bytes() const {
+    return row_maps.capacity() * sizeof(RowSegment);
+  }
 
   /// Flops of the panel task (diag factorization + TRSM) under a given
   /// factorization kind.
@@ -94,9 +127,14 @@ class SymbolicStructure {
   void validate() const;
 };
 
-/// Builds the block structure from an amalgamated supernode partition.
+/// Builds the block structure, row maps included, from an amalgamated
+/// supernode partition.
 SymbolicStructure build_structure(const SupernodePartition& part,
                                   const SupernodeForest& forest,
                                   index_t max_panel_width);
+
+/// (Re)builds st.row_maps and every edge's map range from the blocks and
+/// edges.  The structure must be valid (SymbolicStructure::validate).
+void build_row_maps(SymbolicStructure& st);
 
 }  // namespace spx

@@ -7,15 +7,18 @@
 //   * scheduler completion under randomized popping order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
 #include "core/sequential.hpp"
 #include "kernels/scatter.hpp"
 #include "mat/generators.hpp"
+#include "persist/snapshot.hpp"
 #include "runtime/access_deps.hpp"
 #include "runtime/flop_costs.hpp"
 #include "runtime/parsec_scheduler.hpp"
+#include "service/analysis_cache.hpp"
 #include "test_support.hpp"
 
 namespace spx {
@@ -110,8 +113,55 @@ TEST(SegmentProperty, EveryTrailingRowMapsCorrectly) {
             }
           }
         }
+        // The stored map is the map from the first facing block, and its
+        // tail clipped at the last facing block's end is the LU U side's
+        // map.
+        const index_t first_off = sp.blocks[e.first_block].offset;
+        const index_t last_off =
+            e.last_block < static_cast<index_t>(sp.blocks.size())
+                ? sp.blocks[e.last_block].offset
+                : sp.nrows;
+        const std::span<const RowSegment> stored = st.row_map(e);
+        EXPECT_TRUE(std::ranges::equal(
+            stored, kernels::build_row_segments(sp, first_off, dp)));
+        const index_t cut = last_off - first_off;
+        std::vector<RowSegment> tail;
+        for (const RowSegment& s : stored) {
+          if (s.src_offset + s.len <= cut) continue;
+          const index_t skip = std::max<index_t>(0, cut - s.src_offset);
+          tail.push_back(
+              {s.src_offset + skip - cut, s.dst_offset + skip, s.len - skip});
+        }
+        EXPECT_EQ(tail, kernels::build_row_segments(sp, last_off, dp));
       }
     }
+    EXPECT_EQ(sizeof(RowSegment), 12u);
+
+    // A .spxsnap round trip rebuilds identical maps.
+    persist::FactorSnapshot snap;
+    snap.analysis = std::make_shared<const Analysis>(an);
+    snap.lval.assign(static_cast<std::size_t>(st.factor_entries), 0.0);
+    const persist::FactorSnapshot back =
+        persist::decode_snapshot(persist::encode_snapshot(snap));
+    const SymbolicStructure& rst = back.analysis->structure;
+    EXPECT_EQ(rst.row_maps, st.row_maps);
+    for (index_t p = 0; p < st.num_panels(); ++p) {
+      ASSERT_EQ(rst.targets[p].size(), st.targets[p].size());
+      for (std::size_t e = 0; e < st.targets[p].size(); ++e) {
+        EXPECT_EQ(rst.targets[p][e].map_begin, st.targets[p][e].map_begin);
+        EXPECT_EQ(rst.targets[p][e].map_end, st.targets[p][e].map_end);
+      }
+    }
+
+    // The analysis cache charges exactly the maps' bytes for them (two
+    // copies, so every other vector has the same capacity in both).
+    const Analysis with = an;
+    Analysis without = an;
+    std::vector<RowSegment>().swap(without.structure.row_maps);
+    EXPECT_GT(with.structure.row_map_bytes(), 0u);
+    EXPECT_EQ(service::AnalysisCache::analysis_bytes(with),
+              service::AnalysisCache::analysis_bytes(without) +
+                  with.structure.row_map_bytes());
   }
 }
 
