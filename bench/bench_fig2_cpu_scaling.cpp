@@ -75,9 +75,7 @@ RunStats real_run(Scheduler& sched, const Machine& machine,
                   const CscMatrix<real_t>& a, const Analysis& an) {
   FactorData<real_t> f(an.structure, Factorization::LLT);
   f.initialize(permute_symmetric(a, an.perm));
-  RealDriverOptions opts;
-  opts.fused_ldlt = false;
-  return execute_real(sched, machine, f, opts);
+  return execute_real(sched, machine, f, RealDriverOptions{});
 }
 
 void real_contention_section(int threads, int reps) {

@@ -25,12 +25,14 @@
 // edge (SymbolicStructure::row_maps), clipped at the block or side's
 // first row, so a task allocates nothing beyond growing its workspace.
 //
-// For LDL^T, the update needs D-scaled source rows.  The native
-// scheduler's fused 1D task prescales the whole panel once into a scratch
-// reused by all its updates; the generic runtimes cannot share that buffer
-// across tasks (its life span would be unbounded -- paper §V-A), so each
-// update rescales the edge's facing rows: that is the "less efficient
-// kernel that performs the full LDL^T operation at each update".
+// For LDL^T, the update needs D-scaled source rows.  Where one task
+// applies all of a panel's updates -- a merged subtree task, or
+// factorize_sequential -- the whole panel is prescaled once into a
+// scratch reused by all of them.  An update task of a task runtime, the
+// native one included, cannot share that buffer across tasks (its life
+// span would be unbounded -- paper §V-A), so it scales only the edge's
+// facing rows: the paper's "less efficient kernel that performs the full
+// LDL^T operation at each update".  Both give bit-identical products.
 #pragma once
 
 #include "core/factor_data.hpp"
@@ -56,15 +58,17 @@ template <typename T>
 void factor_panel(FactorData<T>& f, index_t p);
 
 /// Prescales panel p's below-diagonal rows by D into ws.scaled
-/// (full-panel layout, leading dimension panel.nrows).  Native-scheduler
-/// LDL^T path; the result is passed to apply_update as `prescaled`.
+/// (full-panel layout, leading dimension panel.nrows), for a task that
+/// applies all of the panel's LDL^T updates; the result is passed to
+/// apply_update as `prescaled`.
 template <typename T>
 void prescale_ldlt(const FactorData<T>& f, index_t p, Workspace<T>& ws);
 
 /// Applies the update along edge e of panel src onto panel e.dst; e must
 /// be an edge of the factor's structure (its row map is read from there).
 /// `prescaled` (optional) is the prescale_ldlt buffer; when null the
-/// LDL^T path rescales the facing rows (the generic-runtime behaviour).
+/// LDL^T path scales the facing rows (what a task runtime's update task
+/// does).
 /// NOT thread-safe on the target panel: callers serialize updates into
 /// the same destination (the runtimes do this via commute access mode or
 /// per-panel locks).

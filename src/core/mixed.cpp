@@ -14,6 +14,7 @@ void MixedPrecisionSolver::adopt_analysis(
   adopted_digest_ = digest;
   assembly_map_.clear();
   factors_.reset();
+  spare_.reset();
 }
 
 void MixedPrecisionSolver::factorize(const CscMatrix<real_t>& a,
@@ -29,9 +30,11 @@ void MixedPrecisionSolver::factorize(const CscMatrix<real_t>& a,
     analysis_ = std::move(analysis);
     assembly_map_.clear();
     factors_.reset();
+    spare_.reset();
   }
   pattern_digest_ = digest;
   if (factors_ != nullptr && factors_->kind() != kind) factors_.reset();
+  if (spare_ != nullptr && spare_->kind() != kind) spare_.reset();
   const bool reuse = factors_ != nullptr;
   a_ = std::make_unique<CscMatrix<real_t>>(a);
   if (!reuse) {
@@ -39,7 +42,7 @@ void MixedPrecisionSolver::factorize(const CscMatrix<real_t>& a,
         std::make_unique<FactorData<real32_t>>(analysis_->structure, kind);
   }
   try {
-    assemble(a, reuse);
+    assemble(*factors_, a, reuse);
     factorize_sequential(*factors_);
   } catch (...) {
     factors_.reset();  // like Solver: failure leaves "not factorized"
@@ -55,40 +58,30 @@ void MixedPrecisionSolver::refactorize(const CscMatrix<real_t>& a) {
   SPX_CHECK_ARG(spx::pattern_digest(a) == pattern_digest_,
                 "refactorize(): matrix pattern differs from the "
                 "factorized pattern");
-  const std::span<const real32_t> l = factors_->lvalues();
-  const std::span<const real32_t> u = factors_->uvalues();
-  const std::span<const real32_t> d = factors_->dvalues();
-  refactor_backup_.resize(l.size() + u.size() + d.size());
-  std::copy(l.begin(), l.end(), refactor_backup_.begin());
-  std::copy(u.begin(), u.end(), refactor_backup_.begin() + l.size());
-  std::copy(d.begin(), d.end(),
-            refactor_backup_.begin() + l.size() + u.size());
-  auto prev_a = std::move(a_);
-  a_ = std::make_unique<CscMatrix<real_t>>(a);
-  try {
-    assemble(a, true);
-    factorize_sequential(*factors_);
-  } catch (...) {
-    factors_->restore_values(
-        std::span<const real32_t>(refactor_backup_.data(), l.size()),
-        std::span<const real32_t>(refactor_backup_.data() + l.size(),
-                                  u.size()),
-        std::span<const real32_t>(
-            refactor_backup_.data() + l.size() + u.size(), d.size()));
-    a_ = std::move(prev_a);
-    throw;
+  // A throw below leaves factors_ and a_ untouched: the spare only
+  // replaces them once it holds a complete factorization.
+  auto a_new = std::make_unique<CscMatrix<real_t>>(a);
+  const bool reuse = spare_ != nullptr;
+  if (!reuse) {
+    spare_ = std::make_unique<FactorData<real32_t>>(analysis_->structure,
+                                                    factors_->kind());
   }
+  assemble(*spare_, a, reuse);
+  factorize_sequential(*spare_);
+  std::swap(factors_, spare_);
+  a_ = std::move(a_new);
 }
 
-void MixedPrecisionSolver::assemble(const CscMatrix<real_t>& a,
+void MixedPrecisionSolver::assemble(FactorData<real32_t>& f,
+                                    const CscMatrix<real_t>& a,
                                     bool zero_fill) {
   if (assembly_map_.empty()) {
     assembly_map_ = build_assembly_map(analysis_->structure, analysis_->perm,
                                        a.colptr(), a.rowind());
   }
-  if (zero_fill) factors_->reset();
+  if (zero_fill) f.reset();
   // The fp32 cast happens in the scatter: no float copy of A is made.
-  factors_->assemble(assembly_map_, a.values());
+  f.assemble(assembly_map_, a.values());
 }
 
 MixedSolveReport MixedPrecisionSolver::solve(std::span<const real_t> b,

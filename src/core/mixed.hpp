@@ -50,9 +50,11 @@ class MixedPrecisionSolver {
   void factorize(const CscMatrix<real_t>& a, Factorization kind);
 
   /// Numeric-only re-factorization mirroring Solver::refactorize(): the
-  /// same reuse as a repeat factorize(), plus the rollback -- on numeric
-  /// failure the previous float factors (and reference matrix) are
-  /// restored intact.  Throws InvalidArgument before the first
+  /// new values are factorized into a spare float buffer, which then
+  /// replaces the factors (and the reference matrix) in one swap; the
+  /// replaced buffer is the next refactorize's spare.  On failure nothing
+  /// is swapped, so the previous factors keep serving.  Unlike Solver,
+  /// no solve may run beside it.  Throws InvalidArgument before the first
   /// factorize() or on a pattern mismatch.
   void refactorize(const CscMatrix<real_t>& a);
 
@@ -77,9 +79,10 @@ class MixedPrecisionSolver {
   }
 
  private:
-  /// Scatters `a` into factors_ (zero-filling reused storage first)
-  /// through assembly_map_, building the map on first use.
-  void assemble(const CscMatrix<real_t>& a, bool zero_fill);
+  /// Scatters `a` into `f` (zero-filling reused storage first) through
+  /// assembly_map_, building the map on first use.
+  void assemble(FactorData<real32_t>& f, const CscMatrix<real_t>& a,
+                bool zero_fill);
 
   AnalysisOptions options_;
   std::shared_ptr<const Analysis> analysis_;
@@ -89,9 +92,10 @@ class MixedPrecisionSolver {
   /// Input-entry -> factor-slot map of analysis_; empty until built.
   AssemblyMap assembly_map_;
   std::unique_ptr<FactorData<real32_t>> factors_;
+  /// What refactorize() fills next: the factors it last replaced, or
+  /// those a failed refactorize left behind; null until the first one.
+  std::unique_ptr<FactorData<real32_t>> spare_;
   std::unique_ptr<CscMatrix<real_t>> a_;
-  /// Rollback snapshot (L then U then D) reused across refactorize().
-  mutable std::vector<real32_t> refactor_backup_;
 };
 
 }  // namespace spx

@@ -7,14 +7,14 @@ namespace spx {
 
 template <typename T>
 void factorize_sequential(FactorData<T>& f, UpdateVariant variant,
-                          bool fused_ldlt) {
+                          bool per_update_scale) {
   const SymbolicStructure& st = f.structure();
   Workspace<T> ws;
   Workspace<T> prescale_ws;
   for (index_t p = 0; p < st.num_panels(); ++p) {
     factor_panel(f, p);
     const T* prescaled = nullptr;
-    if (f.kind() == Factorization::LDLT && !fused_ldlt &&
+    if (f.kind() == Factorization::LDLT && !per_update_scale &&
         !st.targets[p].empty()) {
       prescale_ldlt(f, p, prescale_ws);
       prescaled = prescale_ws.scaled.data();

@@ -9,13 +9,14 @@ namespace spx {
 
 /// Factorizes in place, panel by panel (right-looking, PASTIX's choice:
 /// each factored panel immediately scatters its updates).  `variant`
-/// selects the update kernel path; `fused_ldlt` mimics the generic
-/// runtimes' per-update rescaling instead of the native shared prescale
-/// buffer.
+/// selects the update kernel path.  LDL^T prescales each panel once for
+/// all its updates; `per_update_scale` instead has every update scale its
+/// own facing rows, as a task runtime's update tasks do (bit-identical
+/// products).
 template <typename T>
 void factorize_sequential(FactorData<T>& f,
                           UpdateVariant variant = UpdateVariant::TempBuffer,
-                          bool fused_ldlt = false);
+                          bool per_update_scale = false);
 
 /// Left-looking variant (paper §III: "all tasks contributing to a single
 /// panel are associated in a single task, they have a lot of input edges

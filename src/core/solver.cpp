@@ -63,7 +63,8 @@ void Solver<T>::analyze(const CscMatrix<T>& a) {
   pattern_digest_ = spx::pattern_digest(a);
   // Stale factors and their map belong to the previous analysis.
   assembly_map_.clear();
-  factors_.reset();
+  publish(nullptr);
+  spare_.reset();
   SPX_OBS({
     obs::MetricsRegistry& reg =
         obs::registry_or_global(options_.instr.metrics);
@@ -84,7 +85,36 @@ void Solver<T>::adopt_analysis(std::shared_ptr<const Analysis> analysis,
   analysis_ = std::move(analysis);
   pattern_digest_ = digest;
   assembly_map_.clear();
-  factors_.reset();
+  publish(nullptr);
+  spare_.reset();
+}
+
+template <typename T>
+std::shared_ptr<FactorVersion<T>> Solver<T>::publish(
+    std::shared_ptr<FactorVersion<T>> v) {
+  std::lock_guard<std::mutex> lock(*publish_mutex_);
+  current_.swap(v);
+  return v;
+}
+
+template <typename T>
+std::shared_ptr<const FactorVersion<T>> Solver<T>::pinned() const {
+  std::shared_ptr<const FactorVersion<T>> owner;
+  {
+    // Counted under the lock that publishes: once refactorize() has
+    // swapped a version out, no new pin can reach it.
+    std::lock_guard<std::mutex> lock(*publish_mutex_);
+    if (current_ == nullptr) return nullptr;
+    current_->pins.fetch_add(1, std::memory_order_relaxed);
+    owner = current_;
+  }
+  const FactorVersion<T>* v = owner.get();
+  // The release pairs with refactorize()'s acquire load of `pins`: every
+  // read through this handle happens before the version is rewritten.
+  return std::shared_ptr<const FactorVersion<T>>(
+      v, [owner = std::move(owner)](const FactorVersion<T>* p) {
+        p->pins.fetch_sub(1, std::memory_order_release);
+      });
 }
 
 template <typename T>
@@ -98,14 +128,14 @@ void Solver<T>::restore_factors(Factorization kind, std::span<const T> l,
                 "degraded factors are not restorable (refinement needs "
                 "the input matrix, which snapshots do not carry)");
   kind_ = kind;
-  factors_.reset();
-  refine_matrix_.reset();
-  auto factors = std::make_unique<FactorData<T>>(analysis_->structure, kind,
-                                                 options_.instr.fault);
-  factors->restore_values(l, u, d);
-  factors->set_pivot_policy(quality.threshold, quality.anorm);
-  factors->set_quality(quality);
-  factors_ = std::move(factors);
+  publish(nullptr);
+  spare_.reset();
+  auto v = std::make_shared<FactorVersion<T>>(analysis_->structure, kind,
+                                              options_.instr.fault);
+  v->factors.restore_values(l, u, d);
+  v->factors.set_pivot_policy(quality.threshold, quality.anorm);
+  v->factors.set_quality(quality);
+  publish(std::move(v));
   stats_ = RunStats{};
   stats_.quality = quality;
   SPX_OBS(obs::registry_or_global(options_.instr.metrics)
@@ -115,7 +145,8 @@ void Solver<T>::restore_factors(Factorization kind, std::span<const T> l,
 }
 
 template <typename T>
-void Solver<T>::factorize(const CscMatrix<T>& a, Factorization kind) {
+void Solver<T>::factorize(const CscMatrix<T>& a, Factorization kind,
+                          obs::SpanContext parent) {
   SPX_CHECK_ARG(a.nrows() == a.ncols(), "square matrix required");
   SPX_CHECK_ARG(analyzed(),
                 "factorize() before analyze(): run analyze(a) first (one "
@@ -134,26 +165,34 @@ void Solver<T>::factorize(const CscMatrix<T>& a, Factorization kind) {
   }
   kind_ = kind;
   obs::ScopedSpan span;
-  SPX_OBS(span = obs::ScopedSpan(options_.instr.tracer, "solver.factorize",
-                                 "service-", options_.instr.parent));
+  SPX_OBS(span = obs::ScopedSpan(
+              options_.instr.tracer, "solver.factorize", "service-",
+              parent.valid() ? parent : options_.instr.parent));
   Timer wall;
   // Any failure below must leave the solver "analyzed, not factorized": the
-  // catch drops the factors so factorize() can simply be retried.  Factors
-  // held here belong to this analysis (analyze/adopt_analysis drop them),
-  // so storage of the same kind is reused; a new kind allocates afresh.
-  refine_matrix_.reset();
-  if (factors_ != nullptr && factors_->kind() != kind) factors_.reset();
-  const bool reuse = factors_ != nullptr;
+  // published version is withdrawn first, so factorize() can simply be
+  // retried.  Factors held here belong to this analysis
+  // (analyze/adopt_analysis drop them), so storage of the same kind is
+  // reused in place unless a pinned() handle still reads it; a new kind
+  // allocates afresh.
+  std::shared_ptr<FactorVersion<T>> v = publish(nullptr);
+  if (spare_ != nullptr && spare_->factors.kind() != kind) spare_.reset();
+  if (v != nullptr && (v->factors.kind() != kind ||
+                       v->pins.load(std::memory_order_acquire) != 0)) {
+    v.reset();
+  }
+  const bool reuse = v != nullptr;
   if (!reuse) {
-    factors_ = std::make_unique<FactorData<T>>(analysis_->structure, kind,
-                                               options_.instr.fault);
+    v = std::make_shared<FactorVersion<T>>(analysis_->structure, kind,
+                                           options_.instr.fault);
   }
   try {
-    assemble(a, reuse, span.context());
-    factorize_numeric(span.context());
+    v->refine_matrix.reset();
+    assemble(v->factors, a, reuse, span.context());
+    factorize_numeric(v->factors, span.context());
+    finish_numeric(*v, a);
   } catch (...) {
-    stats_.quality = factors_->quality();  // keep the post-mortem record
-    factors_.reset();
+    stats_.quality = v->factors.quality();  // keep the post-mortem record
     SPX_OBS(obs::registry_or_global(options_.instr.metrics)
                 .counter("spx_solver_factorize_failures_total",
                          "Factorizations that threw",
@@ -161,17 +200,7 @@ void Solver<T>::factorize(const CscMatrix<T>& a, Factorization kind) {
                 .inc());
     throw;
   }
-  stats_.quality = factors_->quality();
-  if (stats_.quality.degraded()) {
-    // Perturbed factors are exact factors of A + E; retain A so solve()
-    // can repair the O(threshold) error by refinement on its own.
-    refine_matrix_ = std::make_unique<CscMatrix<T>>(a);
-  }
-  stats_.gflops = analysis_->structure.total_flops(kind) /
-                  std::max(1e-12, stats_.makespan) / 1e9;
-  stats_.kernel_isa =
-      kernels::to_string(kernels::Dispatch::instance().active());
-  stats_.kernel_blas = kernels::Dispatch::instance().blas_active();
+  publish(std::move(v));
   SPX_OBS({
     obs::MetricsRegistry& reg =
         obs::registry_or_global(options_.instr.metrics);
@@ -198,8 +227,8 @@ void Solver<T>::factorize(const CscMatrix<T>& a, Factorization kind) {
 }
 
 template <typename T>
-void Solver<T>::refactorize(const CscMatrix<T>& a) {
-  SPX_CHECK_ARG(factorized(),
+void Solver<T>::refactorize(const CscMatrix<T>& a, obs::SpanContext parent) {
+  SPX_CHECK_ARG(current_ != nullptr,
                 "refactorize() before factorize(): the fast path reuses "
                 "the allocated factors; run factorize(a, kind) first");
   SPX_CHECK_ARG(a.nrows() == a.ncols(), "square matrix required");
@@ -209,61 +238,53 @@ void Solver<T>::refactorize(const CscMatrix<T>& a) {
                 "pattern; refactorize ingests new values only -- call "
                 "analyze(a) + factorize(a, kind) for a new pattern");
   obs::ScopedSpan span;
-  SPX_OBS(span = obs::ScopedSpan(options_.instr.tracer, "solver.refactorize",
-                                 "service-", options_.instr.parent));
+  SPX_OBS(span = obs::ScopedSpan(
+              options_.instr.tracer, "solver.refactorize", "service-",
+              parent.valid() ? parent : options_.instr.parent));
   Timer wall;
-  // Snapshot the live numeric state so a failed refactorize rolls back to
-  // the previous factors -- still consistent, still servable -- instead of
-  // factorize()'s "analyzed, not factorized".  The backup buffer is a
-  // member sized once; steady-state refactorization performs no factor
-  // (re)allocation.
-  const std::span<const T> l = factors_->lvalues();
-  const std::span<const T> u = factors_->uvalues();
-  const std::span<const T> d = factors_->dvalues();
-  refactor_backup_.resize(l.size() + u.size() + d.size());
-  std::copy(l.begin(), l.end(), refactor_backup_.begin());
-  std::copy(u.begin(), u.end(), refactor_backup_.begin() + l.size());
-  std::copy(d.begin(), d.end(),
-            refactor_backup_.begin() + l.size() + u.size());
-  const FactorQuality prev_quality = factors_->quality();
-  std::unique_ptr<CscMatrix<T>> prev_refine = std::move(refine_matrix_);
-
+  // The new values go into the spare while solves keep reading current_;
+  // only a complete factorization is published.  A failure publishes
+  // nothing, so the previous factors keep serving and the spare waits
+  // for the next refactorize.
   try {
-    assemble(a, true, span.context());
-    factorize_numeric(span.context());
+    // The acquire pairs with the release in pinned()'s deleter: once the
+    // count reads zero, every solve that read the retired version is done.
+    if (spare_ != nullptr &&
+        spare_->pins.load(std::memory_order_acquire) != 0) {
+      spare_.reset();  // its last holder frees it
+      SPX_OBS(obs::registry_or_global(options_.instr.metrics)
+                  .counter("spx_solver_pinned_spares_total",
+                           "Refactorizes that allocated a fresh spare "
+                           "because a reader still pinned the retired "
+                           "version")
+                  .inc());
+    }
+    const bool reuse = spare_ != nullptr;
+    if (!reuse) {
+      spare_ = std::make_shared<FactorVersion<T>>(analysis_->structure, kind_,
+                                                  options_.instr.fault);
+    }
+    spare_->refine_matrix.reset();
+    assemble(spare_->factors, a, reuse, span.context());
+    factorize_numeric(spare_->factors, span.context());
+    finish_numeric(*spare_, a);
   } catch (...) {
-    factors_->restore_values(
-        std::span<const T>(refactor_backup_.data(), l.size()),
-        std::span<const T>(refactor_backup_.data() + l.size(), u.size()),
-        std::span<const T>(refactor_backup_.data() + l.size() + u.size(),
-                           d.size()));
-    factors_->set_pivot_policy(prev_quality.threshold, prev_quality.anorm);
-    factors_->set_quality(prev_quality);
-    refine_matrix_ = std::move(prev_refine);
-    stats_.quality = prev_quality;
+    stats_.quality = current_->factors.quality();
     SPX_OBS(obs::registry_or_global(options_.instr.metrics)
                 .counter("spx_solver_refactorize_failures_total",
-                         "Re-factorizations that threw and rolled back to "
-                         "the previous factors",
+                         "Re-factorizations that threw; the previous "
+                         "factors kept serving",
                          {{"runtime", to_string(options_.runtime)}})
                 .inc());
     throw;
   }
-  stats_.quality = factors_->quality();
-  if (stats_.quality.degraded()) {
-    refine_matrix_ = std::make_unique<CscMatrix<T>>(a);
-  }
-  stats_.gflops = analysis_->structure.total_flops(kind_) /
-                  std::max(1e-12, stats_.makespan) / 1e9;
-  stats_.kernel_isa =
-      kernels::to_string(kernels::Dispatch::instance().active());
-  stats_.kernel_blas = kernels::Dispatch::instance().blas_active();
+  spare_ = publish(std::move(spare_));  // the retired version
   SPX_OBS({
     obs::MetricsRegistry& reg =
         obs::registry_or_global(options_.instr.metrics);
     reg.counter("spx_solver_refactorizes_total",
-                "Numeric-only re-factorizations (analysis + allocation "
-                "reused)",
+                "Numeric-only re-factorizations (analysis and assembly "
+                "map reused)",
                 {{"runtime", to_string(options_.runtime)}})
         .inc();
     reg.histogram("spx_solver_refactorize_seconds",
@@ -280,8 +301,23 @@ void Solver<T>::refactorize(const CscMatrix<T>& a) {
 }
 
 template <typename T>
-void Solver<T>::assemble(const CscMatrix<T>& a, bool zero_fill,
-                         obs::SpanContext parent) {
+void Solver<T>::finish_numeric(FactorVersion<T>& v, const CscMatrix<T>& a) {
+  stats_.quality = v.factors.quality();
+  if (stats_.quality.degraded()) {
+    // Perturbed factors are exact factors of A + E; retain A so a solve
+    // can repair the O(threshold) error by refinement on its own.
+    v.refine_matrix = std::make_unique<CscMatrix<T>>(a);
+  }
+  stats_.gflops = analysis_->structure.total_flops(kind_) /
+                  std::max(1e-12, stats_.makespan) / 1e9;
+  stats_.kernel_isa =
+      kernels::to_string(kernels::Dispatch::instance().active());
+  stats_.kernel_blas = kernels::Dispatch::instance().blas_active();
+}
+
+template <typename T>
+void Solver<T>::assemble(FactorData<T>& f, const CscMatrix<T>& a,
+                         bool zero_fill, obs::SpanContext parent) {
   {
     obs::ScopedSpan span;
     SPX_OBS(span = obs::ScopedSpan(options_.instr.tracer, "solver.assemble",
@@ -290,25 +326,25 @@ void Solver<T>::assemble(const CscMatrix<T>& a, bool zero_fill,
       assembly_map_ = build_assembly_map(analysis_->structure, analysis_->perm,
                                          a.colptr(), a.rowind());
     }
-    if (zero_fill) factors_->reset();
-    factors_->assemble(assembly_map_, a.values());
+    if (zero_fill) f.reset();
+    f.assemble(assembly_map_, a.values());
   }
   // Static-pivot floor, scaled by ||A|| = max |a_ij| of the input.
   double anorm = 0.0;
   for (const T& v : a.values()) {
     anorm = std::max(anorm, static_cast<double>(magnitude<T>(v)));
   }
-  factors_->set_pivot_policy(
+  f.set_pivot_policy(
       options_.pivot_threshold > 0 ? options_.pivot_threshold * anorm : 0.0,
       anorm);
 }
 
 template <typename T>
-void Solver<T>::factorize_numeric(obs::SpanContext parent) {
+void Solver<T>::factorize_numeric(FactorData<T>& f, obs::SpanContext parent) {
   const Factorization kind = kind_;
   Timer wall;
   if (options_.runtime == RuntimeKind::Sequential) {
-    factorize_sequential(*factors_, options_.cpu_variant, false);
+    factorize_sequential(f, options_.cpu_variant, false);
     stats_ = RunStats{};
     stats_.makespan = wall.elapsed();
     stats_.tasks_cpu = analysis_->structure.num_panels();
@@ -362,8 +398,7 @@ void Solver<T>::factorize_numeric(obs::SpanContext parent) {
     switch (options_.runtime) {
       case RuntimeKind::Native: {
         NativeScheduler sched(table, machine, *costs);
-        dopts.fused_ldlt = false;  // native prescales per panel
-        stats_ = execute_real(sched, machine, *factors_, dopts);
+        stats_ = execute_real(sched, machine, f, dopts);
         break;
       }
       case RuntimeKind::Starpu: {
@@ -377,13 +412,13 @@ void Solver<T>::factorize_numeric(obs::SpanContext parent) {
         }
         StarpuScheduler sched(table, machine, *costs, options_.starpu,
                               directory ? &*directory : nullptr);
-        stats_ = execute_real(sched, machine, *factors_, dopts);
+        stats_ = execute_real(sched, machine, f, dopts);
         break;
       }
       case RuntimeKind::Parsec: {
         // With devices, the driver owns the coherence directory.
         ParsecScheduler sched(table, machine, *costs, options_.parsec);
-        stats_ = execute_real(sched, machine, *factors_, dopts);
+        stats_ = execute_real(sched, machine, f, dopts);
         break;
       }
       case RuntimeKind::Sequential:
@@ -393,15 +428,17 @@ void Solver<T>::factorize_numeric(obs::SpanContext parent) {
 }
 
 template <typename T>
-void Solver<T>::direct_solve(std::span<T> b) const {
+void Solver<T>::direct_solve(const FactorVersion<T>& v,
+                             std::span<T> b) const {
   std::vector<T> pb(b.size());
   permute_vector<T>(analysis_->perm, b, pb);
-  solve_permuted(*factors_, std::span<T>(pb));
+  solve_permuted(v.factors, std::span<T>(pb));
   unpermute_vector<T>(analysis_->perm, pb, b);
 }
 
 template <typename T>
-SolveReport Solver<T>::refine_degraded(std::span<T> x,
+SolveReport Solver<T>::refine_degraded(const FactorVersion<T>& v,
+                                       std::span<T> x,
                                        std::span<const T> b0) const {
   SolveReport report;
   report.degraded = true;
@@ -411,7 +448,7 @@ SolveReport Solver<T>::refine_degraded(std::span<T> x,
   if (bnorm == 0.0) bnorm = 1.0;
   std::vector<T> residual(n);
   for (int iter = 0; iter <= options_.refine_max_iter; ++iter) {
-    refine_matrix_->multiply(std::span<const T>(x.data(), n), residual);
+    v.refine_matrix->multiply(std::span<const T>(x.data(), n), residual);
     double rnorm = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       residual[i] = b0[i] - residual[i];
@@ -423,7 +460,7 @@ SolveReport Solver<T>::refine_degraded(std::span<T> x,
         iter == options_.refine_max_iter) {
       break;
     }
-    direct_solve(residual);
+    direct_solve(v, residual);
     for (std::size_t i = 0; i < n; ++i) x[i] += residual[i];
   }
   return report;
@@ -444,7 +481,8 @@ void Solver<T>::note_solve_metrics(index_t nrhs,
 
 template <typename T>
 SolveReport Solver<T>::solve(std::span<T> b) const {
-  SPX_CHECK_ARG(factorized(),
+  const std::shared_ptr<const FactorVersion<T>> v = pinned();
+  SPX_CHECK_ARG(v != nullptr,
                 "solve() without factors: factorize() has not run since "
                 "the last analyze()");
   SPX_CHECK_ARG(static_cast<index_t>(b.size()) == analysis_->perm.size(),
@@ -452,13 +490,11 @@ SolveReport Solver<T>::solve(std::span<T> b) const {
   obs::ScopedSpan span;
   SPX_OBS(span = obs::ScopedSpan(options_.instr.tracer, "solver.solve",
                                  "service-", options_.instr.parent, 0, 1));
-  const bool degraded =
-      stats_.quality.degraded() && refine_matrix_ != nullptr;
   std::vector<T> b0;
-  if (degraded) b0.assign(b.begin(), b.end());
-  direct_solve(b);
+  if (v->degraded()) b0.assign(b.begin(), b.end());
+  direct_solve(*v, b);
   SolveReport report;
-  if (degraded) report = refine_degraded(b, b0);
+  if (v->degraded()) report = refine_degraded(*v, b, b0);
   SPX_OBS(note_solve_metrics(1, report));
   return report;
 }
@@ -466,7 +502,8 @@ SolveReport Solver<T>::solve(std::span<T> b) const {
 template <typename T>
 SolveReport Solver<T>::solve_multi(std::span<T> b, index_t nrhs,
                                    obs::SpanContext parent) const {
-  SPX_CHECK_ARG(factorized(),
+  const std::shared_ptr<const FactorVersion<T>> v = pinned();
+  SPX_CHECK_ARG(v != nullptr,
                 "solve_multi() without factors: factorize() has not run "
                 "since the last analyze()");
   const index_t n = analysis_->perm.size();
@@ -476,8 +513,7 @@ SolveReport Solver<T>::solve_multi(std::span<T> b, index_t nrhs,
   SPX_OBS(span = obs::ScopedSpan(
               options_.instr.tracer, "solver.solve", "service-",
               parent.valid() ? parent : options_.instr.parent, 0, nrhs));
-  const bool degraded =
-      stats_.quality.degraded() && refine_matrix_ != nullptr;
+  const bool degraded = v->degraded();
   std::vector<T> b0;
   if (degraded) b0.assign(b.begin(), b.end());
   std::vector<T> pb(b.size());
@@ -486,7 +522,7 @@ SolveReport Solver<T>::solve_multi(std::span<T> b, index_t nrhs,
                       std::span<const T>(b.data() + std::size_t(c) * n, n),
                       std::span<T>(pb.data() + std::size_t(c) * n, n));
   }
-  solve_permuted_multi(*factors_, pb.data(), nrhs, n);
+  solve_permuted_multi(v->factors, pb.data(), nrhs, n);
   for (index_t c = 0; c < nrhs; ++c) {
     unpermute_vector<T>(analysis_->perm,
                         std::span<const T>(pb.data() + std::size_t(c) * n, n),
@@ -501,7 +537,7 @@ SolveReport Solver<T>::solve_multi(std::span<T> b, index_t nrhs,
   worst.degraded = true;
   for (index_t c = 0; c < nrhs; ++c) {
     const SolveReport r = refine_degraded(
-        std::span<T>(b.data() + std::size_t(c) * n, n),
+        *v, std::span<T>(b.data() + std::size_t(c) * n, n),
         std::span<const T>(b0.data() + std::size_t(c) * n, n));
     worst.refine_iterations =
         std::max(worst.refine_iterations, r.refine_iterations);
@@ -515,12 +551,13 @@ template <typename T>
 int Solver<T>::solve_refine(const CscMatrix<T>& a, std::span<const T> b,
                             std::span<T> x, double tol,
                             int max_iter) const {
-  SPX_CHECK_ARG(factorized(),
+  const std::shared_ptr<const FactorVersion<T>> v = pinned();
+  SPX_CHECK_ARG(v != nullptr,
                 "solve_refine() without factors: factorize() has not run "
                 "since the last analyze()");
   const std::size_t n = b.size();
   std::copy(b.begin(), b.end(), x.begin());
-  direct_solve(x);  // refinement below; don't stack the degraded path's
+  direct_solve(*v, x);  // refinement below; don't stack the degraded path's
   std::vector<T> residual(n), correction(n);
   double bnorm = 0.0;
   for (const T& v : b) bnorm = std::max(bnorm, (double)magnitude<T>(v));
@@ -534,7 +571,7 @@ int Solver<T>::solve_refine(const CscMatrix<T>& a, std::span<const T> b,
     }
     if (rnorm / bnorm <= tol) return iter - 1;
     std::copy(residual.begin(), residual.end(), correction.begin());
-    direct_solve(correction);
+    direct_solve(*v, correction);
     for (std::size_t i = 0; i < n; ++i) x[i] += correction[i];
   }
   return max_iter;

@@ -14,20 +14,30 @@
 // factorize() of one analysis and kind reuses the factor storage and
 // scatters the input through an assembly map built once per analysis:
 // no allocation and no permuted copy of the matrix precede the numeric
-// sweep.  refactorize() does the same and adds a rollback: a failure
-// keeps the previous factors servable.  The lifecycle is strict and
-// misuse fails loudly:
+// sweep.  refactorize() keeps two value buffers: it factorizes into the
+// spare beside the published version and then publishes the spare with
+// one pointer swap, so a failure leaves the previous factors servable and
+// a solve never waits for it.  The lifecycle is strict and misuse fails
+// loudly:
 // factorize() throws before analyze() or when the matrix pattern differs
 // from the analyzed one, refactorize() throws before the first
 // factorize(), solve() throws before factorize(), and re-analyzing
 // invalidates the current factors.
+//
+// Thread safety: solve(), solve_multi() and solve_refine() may run
+// concurrently with each other and with one refactorize(); each solve
+// pins the version published when it starts and reads only that.  The
+// caller serializes refactorize() calls.  analyze(), adopt_analysis(),
+// factorize() and restore_factors() need exclusive access.
 // The analysis itself is held as shared immutable state
 // (std::shared_ptr<const Analysis>) so many solvers -- e.g. concurrent
 // requests in the solve service (src/service/) -- can factorize different
 // matrices against one symbolic factorization without copying it.
 #pragma once
 
+#include <atomic>
 #include <memory>
+#include <mutex>
 
 #include "core/analysis.hpp"
 #include "core/codelets.hpp"
@@ -109,6 +119,27 @@ struct SolveReport {
   double backward_error = 0.0;
 };
 
+/// One numeric state of a Solver: the factors and what a solve needs
+/// beside them.  Solver publishes versions whole: a version is written
+/// only while it is unpublished and unpinned, so a holder of a
+/// Solver::pinned() handle reads bytes that no refactorize rewrites.
+template <typename T>
+struct FactorVersion {
+  FactorVersion(const SymbolicStructure& st, Factorization kind,
+                AllocationHook* hook)
+      : factors(st, kind, hook) {}
+
+  FactorData<T> factors;
+  /// Input matrix retained by a degraded factorization, so that a solve
+  /// can refine against it (null otherwise).
+  std::unique_ptr<CscMatrix<T>> refine_matrix;
+  /// Perturbed pivots: solves refine against refine_matrix.
+  bool degraded() const { return refine_matrix != nullptr; }
+  /// Live pinned() handles; refactorize rewrites a retired version only
+  /// at zero.
+  mutable std::atomic<int> pins{0};
+};
+
 template <typename T>
 class Solver {
  public:
@@ -131,28 +162,35 @@ class Solver {
 
   /// Numerical factorization of `a`, whose pattern must be the analyzed
   /// one.  The factor storage is kept while the solver holds factors of
-  /// the same analysis and kind: it is zero-filled in place and `a` is
-  /// scattered into it through the assembly map.  Only the first
-  /// factorize after analyze()/adopt_analysis(), the one after a failed
-  /// factorize, and a change of kind allocate (and consult the
+  /// the same analysis and kind and no pinned() handle holds them: it is
+  /// zero-filled in place and `a` is scattered into it through the
+  /// assembly map.  Only the first factorize after
+  /// analyze()/adopt_analysis(), the one after a failed factorize, a
+  /// change of kind and a pinned version allocate (and consult the
   /// AllocationHook).  Throws InvalidArgument before analyze() or on a
   /// pattern mismatch, and NumericalError on breakdown (an indefinite
   /// LL^T pivot, or any bad pivot when pivot_threshold == 0).  On ANY
   /// failure the solver drops its factors and rolls back to "analyzed,
   /// not factorized": factorize() can be retried (e.g. with different
-  /// options) without re-analyzing.
-  void factorize(const CscMatrix<T>& a, Factorization kind);
+  /// options) without re-analyzing.  Spans parent under `parent` when it
+  /// is valid, else under options().instr.parent.
+  void factorize(const CscMatrix<T>& a, Factorization kind,
+                 obs::SpanContext parent = {});
 
   /// Numeric-only re-factorization: ingests the new values of `a` (whose
   /// pattern must be the factorized one) with the current kind, reusing
-  /// the analysis, the assembly map and the FactorData allocation as a
-  /// repeat factorize() does.  The difference is the rollback: the values
-  /// are backed up first, and on numeric failure the PREVIOUS factors are
-  /// restored intact -- a failed refactorize leaves the solver still
-  /// factorized and servable with the old values.  Throws
-  /// InvalidArgument before the first factorize() and on a pattern-digest
-  /// mismatch.
-  void refactorize(const CscMatrix<T>& a);
+  /// the analysis and the assembly map.  It assembles and factorizes into
+  /// a spare version beside the published one, then publishes the spare
+  /// with one pointer swap; the version it replaced becomes the next
+  /// spare.  Solves running meanwhile keep the version they pinned.  On
+  /// failure the spare is simply not published: the solver stays
+  /// factorized and servable with the old values, and the next
+  /// refactorize reuses the spare.  The first refactorize of an analysis
+  /// allocates the spare (through the AllocationHook); later ones reuse
+  /// the retired version, unless a pinned() handle still holds it.
+  /// Throws InvalidArgument before the first factorize() and on a
+  /// pattern-digest mismatch.  `parent` as for factorize().
+  void refactorize(const CscMatrix<T>& a, obs::SpanContext parent = {});
 
   /// In-place solve of A x = b using the current factors.  When the
   /// factorization was perturbed, iterative refinement runs automatically
@@ -175,7 +213,10 @@ class Solver {
                    int max_iter = 10) const;
 
   bool analyzed() const { return analysis_ != nullptr; }
-  bool factorized() const { return factors_ != nullptr; }
+  bool factorized() const {
+    std::lock_guard<std::mutex> lock(*publish_mutex_);
+    return current_ != nullptr;
+  }
   const Analysis& analysis() const {
     SPX_CHECK_ARG(analyzed(), "analyze() has not run");
     return *analysis_;
@@ -194,12 +235,18 @@ class Solver {
   const RunStats& last_factorization_stats() const { return stats_; }
   Factorization factorization_kind() const { return kind_; }
 
-  /// The numerical factors, read-only (snapshot serialization); throws
-  /// before factorize().
+  /// The published numerical factors, read-only; throws before
+  /// factorize().  The reference is valid until the next refactorize() or
+  /// factorize(): a reader beside a refactorize takes pinned() instead.
   const FactorData<T>& factor_data() const {
-    SPX_CHECK_ARG(factorized(), "factorize() has not run");
-    return *factors_;
+    SPX_CHECK_ARG(current_ != nullptr, "factorize() has not run");
+    return current_->factors;
   }
+
+  /// The published version, pinned: no refactorize rewrites it while the
+  /// handle (or a copy) lives.  Null before factorize().  Solves pin this
+  /// way; the snapshot writer persists a pinned version.
+  std::shared_ptr<const FactorVersion<T>> pinned() const;
 
   /// Reinstates factors persisted from an identical (pattern, values,
   /// kind) triple without running a driver: allocates FactorData against
@@ -220,22 +267,29 @@ class Solver {
 
  private:
   void load_perf_model();
-  /// Fills factors_ with the values of `a` (zero-filling reused storage
+  /// Fills `f` with the values of `a` (zero-filling reused storage
   /// first) through assembly_map_, building the map on first use, and
   /// arms the static-pivot floor; spans parent under `parent`.
-  void assemble(const CscMatrix<T>& a, bool zero_fill,
+  void assemble(FactorData<T>& f, const CscMatrix<T>& a, bool zero_fill,
                 obs::SpanContext parent);
-  /// Runs the scheduler/driver (or the sequential loop) on factors_,
-  /// parenting driver spans under `parent` (the factorize span).
-  void factorize_numeric(obs::SpanContext parent);
+  /// Runs the scheduler/driver (or the sequential loop) on `f`, parenting
+  /// driver spans under `parent` (the factorize span).
+  void factorize_numeric(FactorData<T>& f, obs::SpanContext parent);
+  /// Fills stats_ from `f` after a successful numeric sweep and retains
+  /// `a` in `v` when the factors came out degraded.
+  void finish_numeric(FactorVersion<T>& v, const CscMatrix<T>& a);
   /// Registry bumps shared by solve()/solve_multi().
   void note_solve_metrics(index_t nrhs, const SolveReport& report) const;
   /// Plain substitution (no refinement) on a permuted-consistent rhs.
-  void direct_solve(std::span<T> b) const;
+  void direct_solve(const FactorVersion<T>& v, std::span<T> b) const;
   /// Refinement loop of the degraded path: improves x against
-  /// refine_matrix_, starting from b0 (the original rhs).
-  SolveReport refine_degraded(std::span<T> x,
+  /// v.refine_matrix, starting from b0 (the original rhs).
+  SolveReport refine_degraded(const FactorVersion<T>& v, std::span<T> x,
                               std::span<const T> b0) const;
+  /// Makes `v` the version solves pin (null: not factorized) and returns
+  /// the one it replaces.
+  std::shared_ptr<FactorVersion<T>> publish(
+      std::shared_ptr<FactorVersion<T>> v);
 
   SolverOptions options_;
   std::shared_ptr<const Analysis> analysis_;
@@ -243,18 +297,21 @@ class Solver {
   /// Input-entry -> factor-slot map of the analyzed pattern; empty until
   /// the first factorize() of the analysis builds it.
   AssemblyMap assembly_map_;
-  std::unique_ptr<FactorData<T>> factors_;
+  /// The published version: what solves pin.  Written only under
+  /// publish_mutex_ (the solver's own reads need no lock, since the
+  /// writers are the solver's own serialized calls).
+  std::shared_ptr<FactorVersion<T>> current_;
+  /// The version refactorize() fills next: the one it last replaced, or
+  /// the one a failed refactorize left unpublished; null until the first
+  /// refactorize of an analysis.
+  std::shared_ptr<FactorVersion<T>> spare_;
+  /// Held only to pin or swap current_ (heap-held so Solver stays
+  /// movable; moves happen while no solve runs).
+  std::unique_ptr<std::mutex> publish_mutex_ = std::make_unique<std::mutex>();
   Factorization kind_ = Factorization::LLT;
   RunStats stats_;
   std::shared_ptr<perfmodel::PerfModel> perf_model_;
   std::string perf_model_loaded_from_;  ///< file behind perf_model_
-  /// Input matrix retained by a *degraded* factorize() so solve() can
-  /// refine without asking the caller to keep A around (null otherwise).
-  std::unique_ptr<CscMatrix<T>> refine_matrix_;
-  /// Value snapshot (L then U then D) taken at the top of refactorize();
-  /// sized on first use, reused after -- the rollback that keeps a failed
-  /// refactorize servable costs no steady-state allocation.
-  std::vector<T> refactor_backup_;
 };
 
 extern template class Solver<real_t>;

@@ -1,6 +1,9 @@
 #include "kernels/scatter.hpp"
 
 #include <algorithm>
+#include <string>
+
+#include "common/error.hpp"
 
 namespace spx::kernels {
 
@@ -22,7 +25,11 @@ std::vector<RowSegment> build_row_segments(const Panel& src,
     while (r < s.row_end) {
       // Advance to the target block containing row r.
       while (db < dst.blocks.size() && dst.blocks[db].row_end <= r) ++db;
-      SPX_ASSERT(db < dst.blocks.size() && dst.blocks[db].row_begin <= r);
+      if (db == dst.blocks.size() || dst.blocks[db].row_begin > r) {
+        throw InvalidArgument("build_row_segments: source row " +
+                              std::to_string(r) +
+                              " is not a row of the target panel");
+      }
       const Block& d = dst.blocks[db];
       const index_t stop = std::min(s.row_end, d.row_end);
       segs.push_back({s.offset + (r - s.row_begin) - first_offset,

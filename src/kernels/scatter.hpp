@@ -28,8 +28,9 @@ namespace spx::kernels {
 
 /// Maps the trailing rows of `src` (storage rows [first_offset,
 /// src.nrows), map row 0 = storage row first_offset) onto storage rows of
-/// `dst`.  Every trailing source row is guaranteed by the symbolic
-/// structure to exist in dst.
+/// `dst`.  A valid symbolic structure guarantees that every trailing
+/// source row exists in dst; one that does not (a corrupt snapshot)
+/// throws InvalidArgument.
 std::vector<RowSegment> build_row_segments(const Panel& src,
                                            index_t first_offset,
                                            const Panel& dst);

@@ -233,16 +233,17 @@ void ShardServer::handle_factorize(Connection& conn, std::uint64_t corr,
     out.degraded = res.stats.degraded;
     if (res.ok()) {
       out.factor_id = register_factor(res.factor);
-      // fp32 factors stay memory-only: the snapshot format carries fp64
-      // factor values, and the float path needs its reference matrix for
-      // refinement, so they are neither warm-indexed nor persisted.
-      if (store_ != nullptr && !res.factor->fp32()) {
+      // fp32 factors (no fp64 version) stay memory-only: the snapshot
+      // format carries fp64 factor values, and the float path needs its
+      // reference matrix for refinement, so they are neither warm-indexed
+      // nor persisted.
+      if (store_ != nullptr && res.version != nullptr) {
         warm_[wkey] = out.factor_id;
         warm_count_.store(warm_.size(), std::memory_order_release);
         if (!res.stats.degraded) {
           persist_factor(wkey.digest, wkey.vhash,
                          static_cast<Factorization>(wkey.kind), out.factor_id,
-                         *res.factor);
+                         *res.factor, *res.version);
         }
       }
     }
@@ -400,12 +401,15 @@ void ShardServer::handle_refactorize(Connection& conn, std::uint64_t corr,
         for (auto it = warm_.begin(); it != warm_.end();) {
           it = it->second == factor_id ? warm_.erase(it) : std::next(it);
         }
-        if (!res.factor->fp32()) {
+        if (res.version != nullptr) {
           warm_[wkey] = factor_id;
           if (!res.stats.degraded) {
+            // The version this refactorize published, not whatever the
+            // factor holds now: a queued refactorize of the same factor
+            // may already be running on a worker.
             persist_factor(wkey.digest, wkey.vhash,
                            static_cast<Factorization>(wkey.kind), factor_id,
-                           *res.factor);
+                           *res.factor, *res.version);
           }
         }
         warm_count_.store(warm_.size(), std::memory_order_release);
@@ -498,9 +502,10 @@ void ShardServer::replay_snapshots() {
 
 void ShardServer::persist_factor(std::uint64_t digest, std::uint64_t vhash,
                                  Factorization kind, std::uint64_t factor_id,
-                                 const service::Factor& factor) {
+                                 const service::Factor& factor,
+                                 const FactorVersion<real_t>& version) {
   const Solver<real_t>& solver = factor.solver();
-  const FactorData<real_t>& fd = solver.factor_data();
+  const FactorData<real_t>& fd = version.factors;
   persist::FactorSnapshot snap;
   snap.pattern_digest = digest;
   snap.value_hash = vhash;

@@ -145,10 +145,13 @@ class ShardServer {
   service::FactorHandle find_factor(std::uint64_t id);
   /// Loads every snapshot in persist_dir into the service + registry.
   void replay_snapshots();
-  /// Enqueues an async snapshot write of a completed factor.
+  /// Enqueues an async snapshot write of `version`, the pinned fp64
+  /// version a request published for `factor`.  A refactorize of the
+  /// same factor may already be running; it never rewrites `version`.
   void persist_factor(std::uint64_t digest, std::uint64_t vhash,
                       Factorization kind, std::uint64_t factor_id,
-                      const service::Factor& factor);
+                      const service::Factor& factor,
+                      const FactorVersion<real_t>& version);
   /// True when the request was answered (replay) or parked as a waiter
   /// on an identical in-flight request; false registers it as in-flight.
   bool dedup_admit(Connection& conn, std::uint64_t corr,

@@ -239,14 +239,18 @@ Analysis read_analysis(Reader& r) {
   // Structural validation: a snapshot passing the CRC could still have
   // been written by a buggy producer; never hand the factor kernels an
   // inconsistent block structure.  The row maps are not stored; they are
-  // rebuilt from the validated blocks.
+  // rebuilt from the validated blocks, which also checks that every
+  // edge's rows exist in its target.
   try {
     st.validate();
+    if (an.perm.size() != st.num_cols()) {
+      throw InvalidArgument("ordering size differs from the structure's");
+    }
+    build_row_maps(st);
   } catch (const std::exception& e) {
     throw SnapshotError(std::string("snapshot structure invalid: ") +
                         e.what());
   }
-  build_row_maps(st);
   return an;
 }
 

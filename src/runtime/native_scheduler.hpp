@@ -8,10 +8,11 @@
 // ("dynamically splits update tasks, so that the critical path of the
 // algorithm can be reduced") releases each update as its own unit: a
 // panel's factor and updates still run back-to-back on their assigned
-// worker (preserving the LDL^T prescale-buffer locality that makes native
-// LDL^T faster than the generic runtimes), but successors are released as
-// soon as *their* update lands, not when the whole 1D task ends, and idle
-// workers can steal individual units.
+// worker (the source panel stays in that worker's cache), but successors
+// are released as soon as *their* update lands, not when the whole 1D
+// task ends, and idle workers can steal individual units.  Like every
+// update task, each unit's LDL^T update scales only its edge's facing
+// rows; only merged subtree tasks prescale a whole panel.
 //
 // CPU-only by design: the paper uses native PASTIX as the CPU reference
 // and never drives GPUs with it.

@@ -374,19 +374,13 @@ class RealRun {
       return;
     }
     const UpdateEdge& e = st.targets[t.panel][t.edge];
-    const T* prescaled = nullptr;
-    if (f_.kind() == Factorization::LDLT && !options_.fused_ldlt) {
-      // Reuse of a cross-task prescale buffer is impossible here (the
-      // buffer's life span is one task); fall back to prescaling for this
-      // task only -- equivalent arithmetic, same cost as fused.
-      prescale_ldlt(f_, t.panel, prescale_ws);
-      prescaled = prescale_ws.scaled.data();
-    }
     // Per-panel lock: the schedulers' commute gating already serializes
     // generic updates into one target, but merged subtree tasks write
-    // their external targets outside that protocol.
+    // their external targets outside that protocol.  A single update task
+    // has no prescale buffer to share: with a null `prescaled`, LDL^T
+    // scales only the edge's facing rows.
     TimedLock lock(panel_locks_[e.dst], lock_wait);
-    apply_update(f_, t.panel, e, variant, ws, prescaled);
+    apply_update(f_, t.panel, e, variant, ws);
     if (res.kind == ResourceKind::GpuStream) {
       tasks_gpu_.fetch_add(1, std::memory_order_relaxed);
     } else {

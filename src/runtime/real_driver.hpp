@@ -33,9 +33,6 @@ namespace spx {
 struct RealDriverOptions {
   /// Update kernel path for CPU workers (GPU streams always use Direct).
   UpdateVariant cpu_variant = UpdateVariant::TempBuffer;
-  /// Generic-runtime LDL^T (per-update rescale).  The native scheduler's
-  /// fused tasks always prescale, regardless of this flag.
-  bool fused_ldlt = true;
   /// Instrumentation layer: metrics registry, span tracer + parent
   /// context, and the fault harness.  All sinks must outlive the run.
   /// Usually inherited from SolverOptions (which inherits it from

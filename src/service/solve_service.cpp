@@ -291,7 +291,7 @@ Ticket<FactorizeResult> SolveService::submit_refactorize(
                 "submit_refactorize(): factor has no retained matrix "
                 "(restored from a snapshot); submit a full factorize "
                 "instead");
-  SPX_CHECK_ARG(values.size() == factor->matrix_->values().size(),
+  SPX_CHECK_ARG(values.size() == factor->nnz_,
                 "submit_refactorize(): values size differs from the "
                 "factor's nnz");
   auto job = std::make_shared<RefactorizeJob>();
@@ -429,6 +429,8 @@ void SolveService::factorize_attempt(FactorizeJob& job,
   factor->policy_ = job.policy;
   factor->fkind_ = job.fkind;
   factor->matrix_ = job.matrix;
+  factor->nnz_ = job.matrix->values().size();
+  factor->refactorizable_ = true;
   factor->solver_ = Solver<real_t>(sopts);
   factor->solver_.adopt_analysis(std::move(analysis), key.digest);
   st.precision = job.policy;
@@ -455,6 +457,7 @@ void SolveService::factorize_attempt(FactorizeJob& job,
     }
     st.degraded = q.degraded();
     res.code = q.degraded() ? ErrorCode::NumericalDegraded : ErrorCode::None;
+    res.version = factor->solver_.pinned();
   } else {
     res.code = ErrorCode::None;
   }
@@ -554,9 +557,9 @@ void SolveService::run_refactorize(
   ErrorCode code = ErrorCode::Internal;
   std::string error;
   try {
-    // Exclusive against concurrent solves: the numeric values of the live
-    // factor are swapped in place.
-    std::unique_lock<std::shared_mutex> wlock(f.rw_);
+    // One refactorize of this factor at a time; solves do not take this
+    // lock.
+    std::lock_guard<std::mutex> writer(f.writer_);
     const std::shared_ptr<const CscMatrix<real_t>> prev = f.matrix_;
     auto m = std::make_shared<const CscMatrix<real_t>>(
         prev->nrows(), prev->ncols(),
@@ -566,6 +569,9 @@ void SolveService::run_refactorize(
     Timer tf;
     bool fallback = false;
     if (f.mixed_ != nullptr) {
+      // The fp32 path stays exclusive against solves: its probe solve and
+      // fp64 fallback switch which solver serves.
+      std::unique_lock<std::shared_mutex> wlock(f.rw_);
       f.mixed_->refactorize(*m);
       // Re-run the probe gate against the new values; drifting matrices
       // can leave the fp32 regime mid-stream.
@@ -586,8 +592,7 @@ void SolveService::run_refactorize(
         // factors from the retained previous matrix so the factor keeps
         // serving the old values.
         try {
-          SPX_OBS(f.solver_.options().instr.parent = req_span.context());
-          f.solver_.factorize(*m, f.fkind_);
+          f.solver_.factorize(*m, f.fkind_, req_span.context());
         } catch (...) {
           f.mixed_->refactorize(*prev);
           throw;
@@ -598,13 +603,16 @@ void SolveService::run_refactorize(
         note_fp32_fallback(f.solver_.pattern_digest());
         st.run = f.solver_.last_factorization_stats();
         st.degraded = st.run.quality.degraded();
+        res.version = f.solver_.pinned();
       }
     } else {
-      // Solver::refactorize rolls back to the previous factor on any
-      // failure, so a throw below leaves the factor servable.  Under the
-      // exclusive lock the solver's spans can move to this request.
-      SPX_OBS(f.solver_.options().instr.parent = req_span.context());
-      f.solver_.refactorize(*m);
+      // Solver::refactorize factorizes into its spare and publishes it
+      // with a pointer swap: solves keep running on the version they
+      // pinned, and a throw publishes nothing, so the previous factor
+      // keeps serving.  Refactorizes are serialized by writer_, so the
+      // version pinned here is the one this request published.
+      f.solver_.refactorize(*m, req_span.context());
+      res.version = f.solver_.pinned();
       st.run = f.solver_.last_factorization_stats();
       st.degraded = st.run.quality.degraded();
     }
@@ -702,7 +710,6 @@ void SolveService::run_solve_batch(const std::shared_ptr<SolveJob>& first) {
               tracer_, "service.solve.batch", "service-", first->trace_ctx,
               0, static_cast<std::int64_t>(first->id), k));
   try {
-    Timer ts;
     std::vector<real_t> block(static_cast<std::size_t>(n) *
                               static_cast<std::size_t>(k));
     std::size_t off = 0;
@@ -714,9 +721,12 @@ void SolveService::run_solve_batch(const std::shared_ptr<SolveJob>& first) {
     bool degraded = false;
     double backward_error = 0;
     int refine_iterations = 0;
+    double solve_s = 0;
     {
-      // Shared against refactorize, which swaps values exclusively.
+      // Shared against the fp32 refactorize, which switches mixed_
+      // exclusively; the fp64 path pins its solver version instead.
       std::shared_lock<std::shared_mutex> rlock(factor.rw_);
+      Timer ts;  // execution only, not the wait for the lock
       if (factor.mixed_ != nullptr) {
         fp32 = true;
         const MixedSolveReport rep = factor.mixed_->solve_multi(
@@ -730,8 +740,8 @@ void SolveService::run_solve_batch(const std::shared_ptr<SolveJob>& first) {
         degraded = rep.degraded;
         backward_error = rep.backward_error;
       }
+      solve_s = ts.elapsed();
     }
-    const double solve_s = ts.elapsed();
     const ErrorCode code =
         degraded ? ErrorCode::NumericalDegraded : ErrorCode::None;
     counters_->note_batch(static_cast<std::uint64_t>(k));

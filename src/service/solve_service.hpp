@@ -12,10 +12,12 @@
 //        (or MixedPrecisionSolver when the precision policy picks fp32)
 //     -> FactorHandle, shareable across solve requests and threads
 //   submit_refactorize(req, factor, v) ->  Ticket<FactorizeResult>
-//     numeric-only fast path: the factor's symbolic analysis and value
-//     allocation are reused; only the values are ingested (digest-checked
-//     against the retained pattern).  A failed refactorize rolls back and
-//     the previous factor keeps serving.
+//     numeric-only fast path: the factor's symbolic analysis is reused;
+//     the new values (digest-checked against the retained pattern) are
+//     factorized into the solver's spare buffer and published with one
+//     pointer swap, so solves of the factor keep running meanwhile.  A
+//     failed refactorize publishes nothing: the previous factor keeps
+//     serving.
 //   submit_solve(req, factor, b)       ->  Ticket<SolveResult>
 //     solve requests against one factor that arrive within the batching
 //     window are coalesced into a single solve_multi call (GEMM-shaped
@@ -128,20 +130,24 @@ struct RequestOptions {
 struct SolveJob;
 
 /// A completed numeric factorization held by the service.  Solves share
-/// it read-only from any number of threads; refactorize requests take
-/// the write side of its lock and swap the numeric values in place.
+/// it read-only from any number of threads.  Refactorize requests of one
+/// factor run one at a time (writer_); on the fp64 path they run beside
+/// the solves, each of which reads the solver version it pinned.
 class Factor {
  public:
   const Solver<real_t>& solver() const { return solver_; }
   index_t n() const { return solver_.analysis().perm.size(); }
   /// True when the float-factor + fp64-refine path serves this factor.
-  bool fp32() const { return mixed_ != nullptr; }
+  bool fp32() const {
+    std::shared_lock<std::shared_mutex> lock(rw_);
+    return mixed_ != nullptr;
+  }
   /// The precision policy the factorize request resolved to.
   PrecisionPolicy precision() const { return policy_; }
   Factorization kind() const { return fkind_; }
   /// True when refactorize can ingest new values (the input matrix was
-  /// retained; snapshot-restored factors were not).
-  bool refactorizable() const { return matrix_ != nullptr; }
+  /// retained; snapshot-restored factors were not).  Fixed at creation.
+  bool refactorizable() const { return refactorizable_; }
 
  private:
   friend class SolveService;
@@ -152,10 +158,19 @@ class Factor {
   PrecisionPolicy policy_ = PrecisionPolicy::Fp64;
   Factorization fkind_ = Factorization::LLT;
   /// The factorized matrix, retained so refactorize can rebuild it from
-  /// ingested values (and the fp32 path can compute residuals).
+  /// ingested values (and the fp32 path can compute residuals).  Read and
+  /// replaced only under writer_.
   std::shared_ptr<const CscMatrix<real_t>> matrix_;
-  /// Solves hold this shared; refactorize holds it exclusive while it
-  /// swaps the numeric values.
+  /// Stored entries of the factorized pattern, and refactorizable(): both
+  /// fixed at creation, so a submit reads them without any lock.
+  std::size_t nnz_ = 0;
+  bool refactorizable_ = false;
+  /// Serializes the refactorizes of this factor, as Solver::refactorize
+  /// requires.  mixed_ changes only under it.
+  std::mutex writer_;
+  /// Guards mixed_: solves hold it shared.  The fp32 refactorize holds it
+  /// exclusive, because its probe solve and fp64 fallback switch which
+  /// solver serves; the fp64 refactorize does not take it.
   mutable std::shared_mutex rw_;
   /// Solve requests awaiting batching (weak: the admission queue and
   /// tickets own the jobs; stale entries are pruned lazily, and weak
@@ -171,6 +186,12 @@ struct FactorizeResult {
   ErrorCode code = ErrorCode::Internal;  ///< structured outcome
   std::string error;
   FactorHandle factor;  ///< non-null iff status == Done
+  /// The fp64 factor version this request published, pinned: its values
+  /// stay as they were while later refactorizes of the factor run (the
+  /// snapshot writer persists it).  Null on failure and when the fp32
+  /// path serves the factor.  Holding it keeps that version allocated: a
+  /// refactorize that finds it still pinned allocates a fresh spare.
+  std::shared_ptr<const FactorVersion<real_t>> version;
   RequestStats stats;
 
   bool ok() const { return status == RequestStatus::Done; }

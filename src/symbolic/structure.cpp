@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "common/error.hpp"
 #include "kernels/scatter.hpp"
@@ -62,59 +63,89 @@ double SymbolicStructure::total_flops(Factorization kind) const {
   return total;
 }
 
+namespace {
+
+/// validate()'s check.  Structures read from outside the process
+/// (snapshots) reach it, so a violation throws instead of aborting.
+void require(bool ok, const char* what) {
+  if (!ok) throw InvalidArgument(std::string("invalid structure: ") + what);
+}
+
+}  // namespace
+
 void SymbolicStructure::validate() const {
   const index_t np = num_panels();
   const index_t n = num_cols();
-  SPX_ASSERT(static_cast<index_t>(targets.size()) == np);
-  SPX_ASSERT(static_cast<index_t>(in_degree.size()) == np);
+  require(static_cast<index_t>(targets.size()) == np,
+          "one edge list per panel");
+  require(static_cast<index_t>(in_degree.size()) == np,
+          "one in-degree per panel");
   std::vector<index_t> in_check(static_cast<std::size_t>(np), 0);
   index_t col = 0;
   size_type storage = 0;
   for (index_t p = 0; p < np; ++p) {
     const Panel& panel = panels[p];
-    SPX_ASSERT(panel.col_begin == col && panel.col_end > panel.col_begin);
+    require(panel.col_begin == col && panel.col_end > panel.col_begin &&
+                panel.col_end <= n,
+            "panels tile the columns in order");
     col = panel.col_end;
-    SPX_ASSERT(!panel.blocks.empty());
+    require(!panel.blocks.empty(), "every panel has a diagonal block");
     const Block& diag = panel.blocks.front();
-    SPX_ASSERT(diag.row_begin == panel.col_begin &&
-               diag.row_end == panel.col_end && diag.facing_panel == p &&
-               diag.offset == 0);
+    require(diag.row_begin == panel.col_begin &&
+                diag.row_end == panel.col_end && diag.facing_panel == p &&
+                diag.offset == 0,
+            "the diagonal block covers the panel's columns");
+    // Rows lie in [0, n) and blocks are sorted and disjoint, so offsets
+    // sum to at most n: no overflow below.
     index_t offset = 0;
     for (std::size_t b = 0; b < panel.blocks.size(); ++b) {
       const Block& blk = panel.blocks[b];
-      SPX_ASSERT(blk.height() > 0);
-      SPX_ASSERT(blk.offset == offset);
-      offset += blk.height();
+      require(blk.row_begin >= 0 && blk.row_begin < blk.row_end &&
+                  blk.row_end <= n,
+              "block rows lie in [0, n)");
       if (b > 0) {
-        SPX_ASSERT(blk.row_begin >= panel.blocks[b - 1].row_end);
-        SPX_ASSERT(blk.row_begin >= panel.col_end);
+        require(blk.row_begin >= panel.blocks[b - 1].row_end &&
+                    blk.row_begin >= panel.col_end,
+                "blocks are sorted, disjoint and below the diagonal");
+        require(blk.facing_panel > p && blk.facing_panel < np,
+                "a block faces a later panel");
         const Panel& facing = panels[blk.facing_panel];
-        SPX_ASSERT(blk.facing_panel > p);
-        SPX_ASSERT(blk.row_begin >= facing.col_begin &&
-                   blk.row_end <= facing.col_end);
+        require(blk.row_begin >= facing.col_begin &&
+                    blk.row_end <= facing.col_end,
+                "a block's rows lie in its facing panel's columns");
       }
+      require(blk.offset == offset, "block offsets are contiguous");
+      offset += blk.height();
     }
-    SPX_ASSERT(offset == panel.nrows);
-    SPX_ASSERT(panel.storage_offset == storage);
+    require(offset == panel.nrows, "a panel's rows are its blocks' rows");
+    require(panel.storage_offset == storage,
+            "panel storage is contiguous");
     storage += static_cast<size_type>(panel.nrows) * panel.width();
     for (index_t j = panel.col_begin; j < panel.col_end; ++j) {
-      SPX_ASSERT(panel_of_col[j] == p);
+      require(panel_of_col[j] == p, "panel_of_col matches the panels");
     }
     // Edges cover exactly the off-diagonal blocks, in order.
+    const auto nblocks = static_cast<index_t>(panel.blocks.size());
     index_t next_block = 1;
     for (const UpdateEdge& e : targets[p]) {
-      SPX_ASSERT(e.first_block == next_block && e.last_block > e.first_block);
+      require(e.first_block == next_block && e.last_block > e.first_block &&
+                  e.last_block <= nblocks,
+              "edges cover the off-diagonal blocks in order");
+      require(e.dst > p && e.dst < np, "an edge targets a later panel");
       next_block = e.last_block;
       for (index_t b = e.first_block; b < e.last_block; ++b) {
-        SPX_ASSERT(panel.blocks[b].facing_panel == e.dst);
+        require(panel.blocks[b].facing_panel == e.dst,
+                "an edge's blocks face its target");
       }
       in_check[e.dst]++;
     }
-    SPX_ASSERT(next_block == static_cast<index_t>(panel.blocks.size()));
+    require(next_block == nblocks, "edges cover every off-diagonal block");
   }
-  SPX_ASSERT(col == n);
-  SPX_ASSERT(storage == factor_entries);
-  for (index_t p = 0; p < np; ++p) SPX_ASSERT(in_check[p] == in_degree[p]);
+  require(col == n, "panels cover every column");
+  require(storage == factor_entries, "factor_entries matches the panels");
+  for (index_t p = 0; p < np; ++p) {
+    require(in_check[p] == in_degree[p], "in_degree counts the edges");
+  }
 }
 
 SymbolicStructure build_structure(const SupernodePartition& part,
@@ -243,9 +274,10 @@ void build_row_maps(SymbolicStructure& st) {
     for (UpdateEdge& e : st.targets[p]) {
       const auto segs = kernels::build_row_segments(
           sp, sp.blocks[e.first_block].offset, st.panels[e.dst]);
-      SPX_ASSERT(st.row_maps.size() + segs.size() <=
-                 static_cast<std::size_t>(
-                     std::numeric_limits<index_t>::max()));
+      if (st.row_maps.size() + segs.size() >
+          static_cast<std::size_t>(std::numeric_limits<index_t>::max())) {
+        throw InvalidArgument("row maps overflow index_t");
+      }
       e.map_begin = static_cast<index_t>(st.row_maps.size());
       st.row_maps.insert(st.row_maps.end(), segs.begin(), segs.end());
       e.map_end = static_cast<index_t>(st.row_maps.size());

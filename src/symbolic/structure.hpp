@@ -123,7 +123,9 @@ class SymbolicStructure {
   /// Total factorization flops (the paper's Table I "Flop" column).
   double total_flops(Factorization kind) const;
 
-  /// Structural sanity checks (tests call this on every pipeline output).
+  /// Structural sanity checks, every index range-checked before use;
+  /// throws InvalidArgument on the first violation (snapshot loading runs
+  /// this on untrusted bytes).
   void validate() const;
 };
 
@@ -134,7 +136,9 @@ SymbolicStructure build_structure(const SupernodePartition& part,
                                   index_t max_panel_width);
 
 /// (Re)builds st.row_maps and every edge's map range from the blocks and
-/// edges.  The structure must be valid (SymbolicStructure::validate).
+/// edges.  The structure must be valid (SymbolicStructure::validate);
+/// throws InvalidArgument when an edge's rows are missing from its
+/// target panel.
 void build_row_maps(SymbolicStructure& st);
 
 }  // namespace spx

@@ -7,8 +7,11 @@
 // re-analyzable (the next factorize on the same solver succeeds).
 //
 // A second row arms the fault mid-refactorize instead: a torn-down
-// numeric-only refresh must roll back so the PREVIOUS factor keeps
+// numeric-only refresh must publish nothing, so the PREVIOUS factor keeps
 // serving -- the contract the wire RefactorizeRequest opcode relies on.
+// That row includes AllocFail: the first refactorize allocates the spare
+// it factorizes into, and a failed allocation must leave the old factor
+// serving too.
 //
 // Registered in ctest as `FaultStress` running `--smoke` (~a few seconds);
 // the full sweep (no flag) is the soak configuration for hunting races.
@@ -207,10 +210,9 @@ int main(int argc, char** argv) {
       }
       run_one(a, seed, action, rt, ntasks);
       ++runs;
-      // The refactorize rollback row: skip the actions that cannot fire
-      // there (no factor allocation happens, no staging is re-planned).
-      if (action != FaultAction::AllocFail &&
-          action != FaultAction::StallTransfer) {
+      // The refactorize rollback row: skip the action that cannot fire
+      // there (no staging is re-planned).
+      if (action != FaultAction::StallTransfer) {
         run_one_refactorize(a, seed, action, runtimes[seed % 3], ntasks);
         ++runs;
       }

@@ -88,7 +88,7 @@ TEST(SeqFactor, LuRandomStructurallySymmetric) {
 
 struct Config {
   UpdateVariant variant;
-  bool fused_ldlt;
+  bool per_update_scale;
   OrderingMethod ordering;
 };
 
@@ -99,7 +99,8 @@ void PrintTo(const Config& c, std::ostream* os) {
   static constexpr const char* kOrderings[] = {
       "NestedDissection", "MinimumDegree", "RCM", "Natural"};
   *os << "{" << kVariants[static_cast<int>(c.variant)]
-      << ", fused_ldlt=" << (c.fused_ldlt ? "true" : "false") << ", "
+      << ", per_update_scale=" << (c.per_update_scale ? "true" : "false")
+      << ", "
       << kOrderings[static_cast<int>(c.ordering)] << "}";
 }
 
@@ -113,7 +114,7 @@ TEST_P(FactorConfigs, CholeskyResidualSmall) {
   const double r = solve_residual<real_t>(
       a, Factorization::LLT,
       [&](FactorData<real_t>& f) {
-        factorize_sequential(f, cfg.variant, cfg.fused_ldlt);
+        factorize_sequential(f, cfg.variant, cfg.per_update_scale);
       },
       opts);
   EXPECT_LT(r, kTol);
@@ -128,7 +129,7 @@ TEST_P(FactorConfigs, LdltResidualSmall) {
   const double r = solve_residual<real_t>(
       a, Factorization::LDLT,
       [&](FactorData<real_t>& f) {
-        factorize_sequential(f, cfg.variant, cfg.fused_ldlt);
+        factorize_sequential(f, cfg.variant, cfg.per_update_scale);
       },
       opts);
   EXPECT_LT(r, kTol);
@@ -142,7 +143,7 @@ TEST_P(FactorConfigs, LuResidualSmall) {
   const double r = solve_residual<real_t>(
       a, Factorization::LU,
       [&](FactorData<real_t>& f) {
-        factorize_sequential(f, cfg.variant, cfg.fused_ldlt);
+        factorize_sequential(f, cfg.variant, cfg.per_update_scale);
       },
       opts);
   EXPECT_LT(r, kTol);
@@ -380,7 +381,7 @@ TEST(LeftLooking, BitIdenticalToRightLooking) {
   FactorData<real_t> left(an.structure, Factorization::LLT);
   right.initialize(ap);
   left.initialize(ap);
-  // Right-looking with the fused-LDLT path disabled is arithmetically the
+  // Right-looking with per-update LDL^T scaling is arithmetically the
   // same sequence as the left-looking gather; results must match exactly.
   factorize_sequential(right, UpdateVariant::TempBuffer, true);
   factorize_sequential_left(left, UpdateVariant::TempBuffer);

@@ -115,6 +115,38 @@ TEST(MixedPrecision, RefactorizeIngestsNewValues) {
   for (index_t i = 0; i < a.ncols(); ++i) EXPECT_NEAR(x[i], 0.5, 1e-10);
 }
 
+TEST(MixedPrecision, FailedRefactorizeKeepsThePreviousFactorsServing) {
+  const auto a = gen::grid2d_laplacian(12, 12);
+  const auto with_diagonal = [&](real_t scale) {
+    std::vector<real_t> vals(a.values().begin(), a.values().end());
+    for (index_t c = 0; c < a.ncols(); ++c) {
+      for (size_type k = a.colptr()[c]; k < a.colptr()[c + 1]; ++k) {
+        if (a.rowind()[k] == c) vals[static_cast<std::size_t>(k)] *= scale;
+      }
+    }
+    return CscMatrix<real_t>(
+        a.nrows(), a.ncols(),
+        std::vector<size_type>(a.colptr().begin(), a.colptr().end()),
+        std::vector<index_t>(a.rowind().begin(), a.rowind().end()),
+        std::move(vals));
+  };
+  MixedPrecisionSolver solver;
+  solver.factorize(a, Factorization::LLT);
+  std::vector<real_t> ones(a.ncols(), 1.0), b(a.ncols()), x(a.ncols());
+  a.multiply(ones, b);
+  // A negated diagonal breaks LL^T: the spare holds the wreck, while the
+  // factors and the reference matrix that solves read stay the old ones.
+  EXPECT_THROW(solver.refactorize(with_diagonal(-1.0)), NumericalError);
+  ASSERT_TRUE(solver.solve(b, x, 1e-12).converged);
+  for (index_t i = 0; i < a.ncols(); ++i) EXPECT_NEAR(x[i], 1.0, 1e-10);
+  // The next refactorize reuses that spare.
+  const CscMatrix<real_t> a2 = with_diagonal(2.0);
+  solver.refactorize(a2);
+  a2.multiply(ones, b);
+  ASSERT_TRUE(solver.solve(b, x, 1e-12).converged);
+  for (index_t i = 0; i < a.ncols(); ++i) EXPECT_NEAR(x[i], 1.0, 1e-10);
+}
+
 TEST(MixedPrecision, SolveMultiRefinesEveryColumn) {
   const auto a = gen::grid2d_laplacian(12, 12);
   MixedPrecisionSolver solver;

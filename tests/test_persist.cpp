@@ -12,6 +12,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,6 +58,28 @@ persist::FactorSnapshot snapshot_of(const CscMatrix<real_t>& a,
   snap.uval.assign(fd.uvalues().begin(), fd.uvalues().end());
   snap.dval.assign(fd.dvalues().begin(), fd.dvalues().end());
   return snap;
+}
+
+/// `snap` with its analysis replaced by a copy that `mutate` edits.
+persist::FactorSnapshot with_structure(
+    persist::FactorSnapshot snap,
+    const std::function<void(SymbolicStructure&)>& mutate) {
+  auto an = std::make_shared<Analysis>(*snap.analysis);
+  mutate(an->structure);
+  snap.analysis = std::move(an);
+  return snap;
+}
+
+void off_by_one_in_degree(SymbolicStructure& st) { st.in_degree[0] += 1; }
+
+void out_of_range_edge_target(SymbolicStructure& st) {
+  for (auto& edges : st.targets) {
+    if (!edges.empty()) {
+      edges.front().dst = st.num_panels() + 5;
+      return;
+    }
+  }
+  FAIL() << "the structure has no update edge to corrupt";
 }
 
 std::vector<real_t> rhs_for(const CscMatrix<real_t>& a,
@@ -139,6 +162,18 @@ TEST(SnapshotTest, RejectsCorruptionTruncationAndVersionSkew) {
     auto b = good;
     b[16] ^= 0x01;
     expect_reject(std::move(b));
+  }
+}
+
+TEST(SnapshotTest, InconsistentStructureRaisesSnapshotError) {
+  // A valid CRC over an inconsistent structure, as a buggy producer would
+  // write it: decoding rejects it instead of aborting the process.
+  const auto a = gen::grid2d_laplacian(8, 8);
+  const persist::FactorSnapshot good = snapshot_of(a, Factorization::LLT);
+  for (const auto mutate : {off_by_one_in_degree, out_of_range_edge_target}) {
+    const std::vector<std::uint8_t> bytes =
+        persist::encode_snapshot(with_structure(good, mutate));
+    EXPECT_THROW(persist::decode_snapshot(bytes), persist::SnapshotError);
   }
 }
 
@@ -335,6 +370,34 @@ TEST(ShardPersistenceTest, CorruptSnapshotMeansColdStartNotCrash) {
     client.connect("127.0.0.1", shard.port());
     const auto fr = client.factorize("t", a, Factorization::LLT);
     ASSERT_EQ(fr.status, 0) << fr.error;  // recomputed cold
+    EXPECT_EQ(shard.service_stats().factorizes, 1u);
+  }
+  fs::remove_all(dir);
+}
+
+TEST(ShardPersistenceTest, InconsistentSnapshotMeansColdStartNotCrash) {
+  const fs::path dir = unique_dir("inconsistent");
+  const auto a = gen::grid2d_laplacian(8, 8);
+  {
+    const std::vector<std::uint8_t> bytes = persist::encode_snapshot(
+        with_structure(snapshot_of(a, Factorization::LLT),
+                       off_by_one_in_degree));
+    std::ofstream out(dir / "inconsistent.spxsnap", std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  net::ShardServerOptions opts;
+  opts.name = "p3";
+  opts.service.num_workers = 1;
+  opts.persist_dir = dir.string();
+  opts.persist_interval_s = 0;
+  {
+    net::ShardServer shard(opts);  // logs the rejection, starts cold
+    EXPECT_EQ(shard.warm_factors(), 0u);
+    net::BlockingClient client;
+    client.connect("127.0.0.1", shard.port());
+    const auto fr = client.factorize("t", a, Factorization::LLT);
+    ASSERT_EQ(fr.status, 0) << fr.error;
     EXPECT_EQ(shard.service_stats().factorizes, 1u);
   }
   fs::remove_all(dir);

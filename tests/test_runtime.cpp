@@ -682,9 +682,7 @@ TEST(NativeMapping, ProportionalSolvesNumerically) {
   NativeOptions opts;
   opts.mapping = NativeOptions::Mapping::Proportional;
   NativeScheduler sched(table, machine, costs, opts);
-  RealDriverOptions dopts;
-  dopts.fused_ldlt = false;
-  execute_real(sched, machine, f, dopts);
+  execute_real(sched, machine, f, RealDriverOptions{});
   Rng rng(95);
   std::vector<real_t> x(a.ncols()), b(a.ncols());
   for (auto& v : x) v = rng.uniform(-1, 1);
@@ -905,7 +903,6 @@ void stress_run(Scheduler& sched, const Machine& machine,
   FactorData<real_t> f(sc.an.structure, Factorization::LLT);
   f.initialize(permute_symmetric(sc.a, sc.an.perm));
   RealDriverOptions dopts;
-  dopts.fused_ldlt = false;
   dopts.hetero = hetero;
   const RunStats stats = execute_real(obs, machine, f, dopts);
   const auto nr = static_cast<std::size_t>(machine.num_resources());

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <future>
+#include <mutex>
 #include <thread>
 
 #include "common/json.hpp"
@@ -485,6 +488,100 @@ TEST(SolveService, SnapshotRestoredFactorIsNotRefactorizable) {
   std::vector<real_t> vals(a.values().begin(), a.values().end());
   EXPECT_THROW(svc.submit_refactorize(req("t"), restored, std::move(vals)),
                InvalidArgument);
+}
+
+/// Holds the first factor allocation after arm() until release(): a
+/// refactorize allocates its spare through this hook, so the request
+/// stays mid-flight, deterministically, for as long as a test needs.
+class BlockingAllocation : public FaultInjector {
+ public:
+  bool fail_alloc(std::size_t /*bytes*/) override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!armed_) return false;
+    armed_ = false;
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+    return false;
+  }
+  void arm() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    armed_ = true;
+  }
+  bool wait_entered(std::chrono::seconds timeout) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, timeout, [this] { return entered_; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+TEST(SolveService, SolveDuringARefactorizeAnswersFirstWithTheOldValues) {
+  BlockingAllocation hook;
+  ServiceOptions opts;
+  opts.num_workers = 2;
+  opts.solver.instr.fault = &hook;
+  SolveService svc(opts);
+  const auto a = gen::grid2d_laplacian(12, 12);
+  const FactorizeResult fr = svc.factorize("t", shared(a), Factorization::LLT);
+  ASSERT_TRUE(fr.ok()) << fr.error;
+  const std::vector<real_t> b = rhs_for(
+      a, std::vector<real_t>(static_cast<std::size_t>(a.ncols()), 1.0));
+  const SolveResult before = svc.solve("t", fr.factor, b);
+  ASSERT_TRUE(before.ok()) << before.error;
+
+  std::vector<real_t> scaled(a.values().begin(), a.values().end());
+  for (auto& v : scaled) v *= 2.0;
+  hook.arm();
+  Ticket<FactorizeResult> refac =
+      svc.submit_refactorize(req("t"), fr.factor, std::move(scaled));
+  const bool held = hook.wait_entered(std::chrono::seconds(10));
+  // Submitted while the refactorize is held mid-flight.  The flag is set
+  // by the completion hook, so the test does not block on a solve that
+  // queues behind the refactorize.
+  std::mutex done_mutex;
+  std::condition_variable done_cv;
+  bool solve_done = false;
+  RequestOptions sreq = req("t");
+  sreq.on_complete = [&] {
+    std::lock_guard<std::mutex> lock(done_mutex);
+    solve_done = true;
+    done_cv.notify_all();
+  };
+  Ticket<SolveResult> during = svc.submit_solve(sreq, fr.factor, b);
+  {
+    std::unique_lock<std::mutex> lock(done_mutex);
+    done_cv.wait_for(lock, std::chrono::seconds(10),
+                     [&] { return solve_done; });
+  }
+  hook.release();
+  {
+    // Either way the callback has finished with these locals after this.
+    std::unique_lock<std::mutex> lock(done_mutex);
+    done_cv.wait(lock, [&] { return solve_done; });
+  }
+  const FactorizeResult rr = refac.get();
+  const SolveResult sr = during.get();
+  ASSERT_TRUE(held) << "the refactorize never allocated its spare";
+  ASSERT_TRUE(rr.ok()) << rr.error;
+  ASSERT_TRUE(sr.ok()) << sr.error;
+  EXPECT_LT(sr.stats.completion_seq, rr.stats.completion_seq);
+  EXPECT_EQ(sr.x, before.x);  // the old values, bit for bit
+  ASSERT_NE(rr.version, nullptr);
+
+  const SolveResult after = svc.solve("t", fr.factor, b);
+  ASSERT_TRUE(after.ok()) << after.error;
+  for (const real_t v : after.x) EXPECT_NEAR(v, 0.5, 1e-9);
 }
 
 // ---------- precision policy -------------------------------------------

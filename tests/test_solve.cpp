@@ -2,11 +2,16 @@
 // handling, refinement, and cross-kind coverage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <functional>
+#include <stop_token>
+#include <thread>
 
 #include "core/sequential.hpp"
 #include "core/solver.hpp"
 #include "mat/generators.hpp"
+#include "obs/metrics.hpp"
 #include "test_support.hpp"
 
 namespace spx {
@@ -333,6 +338,151 @@ TEST(Refactorize, FailureRollsBackToThePreviousServableFactor) {
   std::vector<real_t> xg = bg;
   solver.solve(xg);
   for (const real_t v : xg) EXPECT_NEAR(v, 1.0, 1e-9);
+}
+
+// ---------- two value buffers: refactorize beside the live factor -------
+
+/// x = A^{-1} b through one pinned version, bypassing the published one.
+std::vector<real_t> solve_with(const Analysis& an,
+                               const FactorVersion<real_t>& v,
+                               const std::vector<real_t>& b) {
+  std::vector<real_t> pb(b.size()), x(b.size());
+  permute_vector<real_t>(an.perm, b, pb);
+  solve_permuted(v.factors, std::span<real_t>(pb));
+  unpermute_vector<real_t>(an.perm, pb, x);
+  return x;
+}
+
+TEST(FactorVersions, PinnedVersionKeepsItsBytesAcrossRefactorizes) {
+  obs::MetricsRegistry registry;
+  SolverOptions opts;
+  opts.runtime = RuntimeKind::Sequential;
+  opts.instr.metrics = &registry;
+  Solver<real_t> solver(opts);
+  const auto a = gen::grid2d_laplacian(12, 12);
+  solver.analyze(a);
+  solver.factorize(a, Factorization::LDLT);
+  const std::shared_ptr<const FactorVersion<real_t>> v0 = solver.pinned();
+  ASSERT_NE(v0, nullptr);
+  const std::vector<real_t> l0(v0->factors.lvalues().begin(),
+                               v0->factors.lvalues().end());
+  const std::vector<real_t> d0(v0->factors.dvalues().begin(),
+                               v0->factors.dvalues().end());
+  const auto n = static_cast<std::size_t>(a.ncols());
+  std::vector<real_t> b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = 1.0 + 0.01 * double(i % 7);
+  const std::vector<real_t> x0 = solve_with(solver.analysis(), *v0, b);
+
+  for (const real_t scale : {2.0, 3.0}) {
+    solver.refactorize(with_values(
+        a, [&](index_t, index_t, real_t v) { return scale * v; }));
+  }
+  // The pinned version was retired by the first refactorize and still
+  // pinned at the second, which therefore factorized into fresh storage.
+  EXPECT_NE(solver.pinned().get(), v0.get());
+  EXPECT_EQ(registry.counter("spx_solver_pinned_spares_total").value(), 1);
+  EXPECT_TRUE(std::equal(l0.begin(), l0.end(),
+                         v0->factors.lvalues().begin(),
+                         v0->factors.lvalues().end()));
+  EXPECT_TRUE(std::equal(d0.begin(), d0.end(),
+                         v0->factors.dvalues().begin(),
+                         v0->factors.dvalues().end()));
+  EXPECT_EQ(solve_with(solver.analysis(), *v0, b), x0);
+  // The published factors are the third matrix's: x0 / 3.
+  std::vector<real_t> x = b;
+  solver.solve(x);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(x[i], x0[i] / 3.0, 1e-12 * std::abs(x0[i]) + 1e-14);
+  }
+}
+
+TEST(FactorVersions, SolvesBesideRefactorizesReturnTheOldOrTheNewSolution) {
+  SolverOptions opts;
+  opts.runtime = RuntimeKind::Sequential;
+  const auto a = gen::grid2d_laplacian(16, 16);
+  const CscMatrix<real_t> a2 =
+      with_values(a, [](index_t r, index_t c, real_t v) {
+        return r == c ? 1.5 * v : v;
+      });
+  const auto n = static_cast<std::size_t>(a.ncols());
+  std::vector<real_t> b(n);
+  Rng rng(501);
+  for (auto& v : b) v = rng.uniform(-1, 1);
+  // The reference answers, from solvers that only ever held one matrix:
+  // on the sequential runtime a refactorize gives bit-identical factors.
+  const auto reference = [&](const CscMatrix<real_t>& m) {
+    Solver<real_t> s(opts);
+    s.analyze(m);
+    s.factorize(m, Factorization::LLT);
+    std::vector<real_t> x = b;
+    s.solve(x);
+    return x;
+  };
+  const std::vector<real_t> x1 = reference(a);
+  const std::vector<real_t> x2 = reference(a2);
+  ASSERT_NE(x1, x2);
+
+  Solver<real_t> solver(opts);
+  solver.analyze(a);
+  solver.factorize(a, Factorization::LLT);
+  std::atomic<int> solves{0}, mixed{0};
+  const auto reader = [&](const std::stop_token& stop, bool multi) {
+    while (!stop.stop_requested()) {
+      std::vector<real_t> x = b;
+      if (multi) {
+        solver.solve_multi(x, 1);
+      } else {
+        solver.solve(x);
+      }
+      if (x != x1 && x != x2) mixed.fetch_add(1);
+      solves.fetch_add(1);
+    }
+  };
+  {
+    std::jthread r1(reader, false), r2(reader, true);
+    // At least 60 refactorizes, and on until the readers have run a few
+    // dozen solves beside them.
+    for (int i = 0; i < 2000 && (i < 60 || solves.load() < 50); ++i) {
+      solver.refactorize(i % 2 == 0 ? a2 : a);
+    }
+  }  // the readers stop and join here
+  EXPECT_GE(solves.load(), 2);
+  EXPECT_EQ(mixed.load(), 0);
+}
+
+TEST(FactorVersions, FailedRefactorizeKeepsThePublishedBytesAndTheSpare) {
+  SolverOptions opts;
+  opts.runtime = RuntimeKind::Sequential;
+  opts.pivot_threshold = 0;  // a negative LL^T pivot throws
+  Solver<real_t> solver(opts);
+  const auto a = gen::grid2d_laplacian(10, 10);
+  solver.analyze(a);
+  solver.factorize(a, Factorization::LLT);
+  const real_t* first = solver.factor_data().lvalues().data();
+  solver.refactorize(with_values(
+      a, [](index_t r, index_t c, real_t v) { return r == c ? 2 * v : v; }));
+  const real_t* published = solver.factor_data().lvalues().data();
+  ASSERT_NE(published, first);  // the spare, now published
+  const std::vector<real_t> bytes(solver.factor_data().lvalues().begin(),
+                                  solver.factor_data().lvalues().end());
+
+  const CscMatrix<real_t> bad = with_values(
+      a, [](index_t r, index_t c, real_t v) { return r == c ? -v : v; });
+  EXPECT_THROW(solver.refactorize(bad), NumericalError);
+  ASSERT_TRUE(solver.factorized());
+  EXPECT_EQ(solver.factor_data().lvalues().data(), published);
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(),
+                         solver.factor_data().lvalues().begin(),
+                         solver.factor_data().lvalues().end()));
+
+  // The next refactorize reuses the spare the failure wrote into.
+  solver.refactorize(a);
+  EXPECT_EQ(solver.factor_data().lvalues().data(), first);
+  const auto n = static_cast<std::size_t>(a.ncols());
+  std::vector<real_t> ones(n, 1.0), x(n);
+  a.multiply(ones, x);
+  solver.solve(x);
+  for (const real_t v : x) EXPECT_NEAR(v, 1.0, 1e-9);
 }
 
 TEST(Refinement, RecoversFromPerturbedFactors) {
