@@ -19,8 +19,8 @@
 // ratio so dmda offloads every update, and the interesting columns are
 // wall-time, transfer volume, and the overlap delta.  The link is
 // latency-dominated on purpose (many small panels, paper §II);
-// SPX_HETERO_* environment knobs override the engine specs
-// (docs/DEVICE_ENGINES.md).
+// --bw-gbps, --latency-us and --mem-mb set the engine spec and --engines
+// the largest engine count (docs/DEVICE_ENGINES.md).
 //
 // --smoke is the ctest gate: a CPU + 2-engine run must complete with
 // nonzero H2D and D2H byte counters in the RunStats JSON, and overlap-on
@@ -72,10 +72,8 @@ RunStats run_once(const Workload& w, int threads, int engines, bool overlap,
   sopts.gpu_min_flops = 0;
   StarpuScheduler sched(table, machine, costs, sopts, &directory);
   RealDriverOptions dopts;
-  HeteroOptions base;
-  base.devices.assign(static_cast<std::size_t>(engines), spec);
-  dopts.hetero = hetero_from_env(base);
-  dopts.hetero.overlap = overlap;  // the ablation axis stays ours
+  dopts.hetero.devices.assign(static_cast<std::size_t>(engines), spec);
+  dopts.hetero.overlap = overlap;
   dopts.hetero.directory = &directory;
   return execute_real(sched, machine, f, dopts);
 }

@@ -54,7 +54,6 @@
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
 #include "runtime/fault_injection.hpp"
-#include "service/options_builder.hpp"
 #include "service/solve_service.hpp"
 
 using namespace spx;
@@ -159,18 +158,18 @@ int run_metrics_gate(const std::shared_ptr<const CscMatrix<real_t>>& a,
                      int workers, int requests) {
   obs::MetricsRegistry registry;
   obs::Tracer tracer;
-  OptionsBuilder b;
-  b.metrics(&registry)
-      .tracer(&tracer)
-      .runtime(RuntimeKind::Native)  // populate per-task counters/spans
-      .threads(2)
-      .workers(workers)
-      .queue_capacity(4096)
-      .cache_bytes(256ull << 20);
+  ServiceOptions opts;
+  opts.solver.instr.metrics = &registry;
+  opts.solver.instr.tracer = &tracer;
+  opts.solver.runtime = RuntimeKind::Native;  // per-task counters/spans
+  opts.solver.num_threads = 2;
+  opts.num_workers = workers;
+  opts.queue_capacity = 4096;
+  opts.cache_bytes = 256ull << 20;
 
   std::printf("--- metrics: Prometheus scrape vs legacy stats ---\n");
   {
-    SolveService svc(b.service_options());
+    SolveService svc(opts);
     const FactorizeResult fr = svc.factorize("metrics", a,
                                              Factorization::LLT);
     if (!fr.ok()) {
@@ -255,10 +254,10 @@ int run_metrics_gate(const std::shared_ptr<const CscMatrix<real_t>>& a,
   for (const bool on : {true, false}) {
     obs::MetricsRegistry reg;
     obs::Tracer tr;
-    OptionsBuilder ob;
-    ob.metrics(&reg).tracer(&tr).runtime(RuntimeKind::Native).threads(2)
-        .workers(workers).queue_capacity(4096).cache_bytes(256ull << 20);
-    SolveService svc(ob.service_options());
+    ServiceOptions round = opts;
+    round.solver.instr.metrics = &reg;
+    round.solver.instr.tracer = &tr;
+    SolveService svc(round);
     (void)svc.factorize("overhead", a, Factorization::LLT);  // warm cache
     obs::set_enabled(on);
     Timer wall;

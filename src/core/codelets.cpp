@@ -61,22 +61,6 @@ void factor_panel(FactorData<T>& f, index_t p) {
   }
 }
 
-template <typename T>
-void prescale_ldlt(const FactorData<T>& f, index_t p, Workspace<T>& ws) {
-  SPX_DEBUG_ASSERT(f.kind() == Factorization::LDLT);
-  const Panel& panel = f.structure().panels[p];
-  const index_t w = panel.width();
-  const index_t below = panel.nrows_below();
-  const index_t ld = panel.nrows;
-  ws.scaled.resize(static_cast<std::size_t>(ld) * w);
-  if (below > 0) {
-    // scaled(w: , :) = L21 * diag(D); keep full-panel leading dimension so
-    // block pointers line up with the L storage.
-    k::scale_cols(below, w, f.panel_l(p) + w, ld, f.panel_d(p),
-                  ws.scaled.data() + w, ld);
-  }
-}
-
 namespace {
 
 /// Grows (never shrinks) a worker buffer to at least `n` entries; a
@@ -137,8 +121,7 @@ void update_side(const SymbolicStructure& st, index_t src,
 
 template <typename T>
 void apply_update(FactorData<T>& f, index_t src, const UpdateEdge& e,
-                  UpdateVariant variant, Workspace<T>& ws,
-                  const T* prescaled) {
+                  UpdateVariant variant, Workspace<T>& ws) {
   const SymbolicStructure& st = f.structure();
   const Panel& sp = st.panels[src];
   const index_t w = sp.width();
@@ -157,21 +140,10 @@ void apply_update(FactorData<T>& f, index_t src, const UpdateEdge& e,
                   f.panel_l(e.dst), variant, ws);
       break;
     case Factorization::LDLT: {
-      const T* b;
-      index_t ldb;
-      if (prescaled != nullptr) {
-        // Native path: the facing rows of the shared prescaled buffer.
-        b = prescaled + first_off;
-        ldb = ld;
-      } else {
-        // Generic-runtime path: D-scale the facing rows now (the fused,
-        // slower LDL^T update kernel).
-        T* scaled = grow(ws.scaled, static_cast<std::size_t>(n) * w);
-        k::scale_cols(n, w, l, ld, f.panel_d(src), scaled, n);
-        b = scaled;
-        ldb = n;
-      }
-      update_side(st, src, e, first_off, n, 0, true, l, b, ldb,
+      // D-scale the facing rows now (the fused LDL^T update kernel).
+      T* scaled = grow(ws.scaled, static_cast<std::size_t>(n) * w);
+      k::scale_cols(n, w, l, ld, f.panel_d(src), scaled, n);
+      update_side(st, src, e, first_off, n, 0, true, l, scaled, n,
                   f.panel_l(e.dst), variant, ws);
       break;
     }
@@ -193,22 +165,15 @@ void apply_update(FactorData<T>& f, index_t src, const UpdateEdge& e,
 
 template void factor_panel<real_t>(FactorData<real_t>&, index_t);
 template void factor_panel<complex_t>(FactorData<complex_t>&, index_t);
-template void prescale_ldlt<real_t>(const FactorData<real_t>&, index_t,
-                                    Workspace<real_t>&);
-template void prescale_ldlt<complex_t>(const FactorData<complex_t>&,
-                                       index_t, Workspace<complex_t>&);
 template void apply_update<real_t>(FactorData<real_t>&, index_t,
                                    const UpdateEdge&, UpdateVariant,
-                                   Workspace<real_t>&, const real_t*);
+                                   Workspace<real_t>&);
 template void apply_update<complex_t>(FactorData<complex_t>&, index_t,
                                       const UpdateEdge&, UpdateVariant,
-                                      Workspace<complex_t>&,
-                                      const complex_t*);
+                                      Workspace<complex_t>&);
 template void factor_panel<real32_t>(FactorData<real32_t>&, index_t);
-template void prescale_ldlt<real32_t>(const FactorData<real32_t>&, index_t,
-                                      Workspace<real32_t>&);
 template void apply_update<real32_t>(FactorData<real32_t>&, index_t,
                                      const UpdateEdge&, UpdateVariant,
-                                     Workspace<real32_t>&, const real32_t*);
+                                     Workspace<real32_t>&);
 
 }  // namespace spx

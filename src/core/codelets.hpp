@@ -25,14 +25,16 @@
 // edge (SymbolicStructure::row_maps), clipped at the block or side's
 // first row, so a task allocates nothing beyond growing its workspace.
 //
-// For LDL^T, the update needs D-scaled source rows.  Where one task
-// applies all of a panel's updates -- a merged subtree task, or
-// factorize_sequential -- the whole panel is prescaled once into a
-// scratch reused by all of them.  An update task of a task runtime, the
-// native one included, cannot share that buffer across tasks (its life
-// span would be unbounded -- paper §V-A), so it scales only the edge's
-// facing rows: the paper's "less efficient kernel that performs the full
-// LDL^T operation at each update".  Both give bit-identical products.
+// For LDL^T, the update needs D-scaled source rows.  Every update scales
+// its own edge's facing rows into the worker's scratch: the paper's "less
+// efficient kernel that performs the full LDL^T operation at each
+// update" (§V-A), which a task runtime needs because a D*L^T buffer
+// shared by a panel's update tasks would have an unbounded life span.
+// Native PASTIX scales each panel once into such a buffer instead.  The
+// edges of a panel cover its off-diagonal blocks exactly once
+// (SymbolicStructure::validate), so both scale the same entries; the
+// per-edge kernel needs a scratch of one edge, not one panel.  Only the
+// simulator models the difference (sim::LdltStrategy).
 #pragma once
 
 #include "core/factor_data.hpp"
@@ -49,7 +51,7 @@ enum class UpdateVariant {
 template <typename T>
 struct Workspace {
   std::vector<T> w;        ///< outer-product buffer (TempBuffer path)
-  std::vector<T> scaled;   ///< D-scaled source rows (LDL^T)
+  std::vector<T> scaled;   ///< D-scaled facing rows of an edge (LDL^T)
 };
 
 /// Factorizes the diagonal block of panel p and solves its off-diagonal
@@ -57,41 +59,25 @@ struct Workspace {
 template <typename T>
 void factor_panel(FactorData<T>& f, index_t p);
 
-/// Prescales panel p's below-diagonal rows by D into ws.scaled
-/// (full-panel layout, leading dimension panel.nrows), for a task that
-/// applies all of the panel's LDL^T updates; the result is passed to
-/// apply_update as `prescaled`.
-template <typename T>
-void prescale_ldlt(const FactorData<T>& f, index_t p, Workspace<T>& ws);
-
 /// Applies the update along edge e of panel src onto panel e.dst; e must
 /// be an edge of the factor's structure (its row map is read from there).
-/// `prescaled` (optional) is the prescale_ldlt buffer; when null the
-/// LDL^T path scales the facing rows (what a task runtime's update task
-/// does).
+/// LDL^T scales the edge's facing rows by D into ws.scaled first.
 /// NOT thread-safe on the target panel: callers serialize updates into
 /// the same destination (the runtimes do this via commute access mode or
 /// per-panel locks).
 template <typename T>
 void apply_update(FactorData<T>& f, index_t src, const UpdateEdge& e,
-                  UpdateVariant variant, Workspace<T>& ws,
-                  const T* prescaled = nullptr);
+                  UpdateVariant variant, Workspace<T>& ws);
 
 extern template void factor_panel<real_t>(FactorData<real_t>&, index_t);
 extern template void factor_panel<complex_t>(FactorData<complex_t>&,
                                              index_t);
-extern template void prescale_ldlt<real_t>(const FactorData<real_t>&,
-                                           index_t, Workspace<real_t>&);
-extern template void prescale_ldlt<complex_t>(const FactorData<complex_t>&,
-                                              index_t,
-                                              Workspace<complex_t>&);
 extern template void apply_update<real_t>(FactorData<real_t>&, index_t,
                                           const UpdateEdge&, UpdateVariant,
-                                          Workspace<real_t>&, const real_t*);
+                                          Workspace<real_t>&);
 extern template void apply_update<complex_t>(FactorData<complex_t>&,
                                              index_t, const UpdateEdge&,
                                              UpdateVariant,
-                                             Workspace<complex_t>&,
-                                             const complex_t*);
+                                             Workspace<complex_t>&);
 
 }  // namespace spx

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/codelets.hpp"
+#include "core/sequential.hpp"
 #include "core/solve.hpp"
 #include "mat/triplets.hpp"
 
@@ -76,19 +76,8 @@ void SchurComplement<T>::compute(const CscMatrix<T>& a,
   factors_->assemble(
       build_assembly_map(st, analysis_->perm, a.colptr(), a.rowind()),
       a.values());
-  Workspace<T> ws, prescale_ws;
-  for (index_t p = 0; p < first_schur_panel_; ++p) {
-    factor_panel(*factors_, p);
-    const T* prescaled = nullptr;
-    if (kind == Factorization::LDLT && !st.targets[p].empty()) {
-      prescale_ldlt(*factors_, p, prescale_ws);
-      prescaled = prescale_ws.scaled.data();
-    }
-    for (const UpdateEdge& e : st.targets[p]) {
-      apply_update(*factors_, p, e, UpdateVariant::TempBuffer, ws,
-                   prescaled);
-    }
-  }
+  factorize_sequential(*factors_, UpdateVariant::TempBuffer,
+                       first_schur_panel_);
 }
 
 template <typename T>

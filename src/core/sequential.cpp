@@ -7,20 +7,14 @@ namespace spx {
 
 template <typename T>
 void factorize_sequential(FactorData<T>& f, UpdateVariant variant,
-                          bool per_update_scale) {
+                          index_t panel_limit) {
   const SymbolicStructure& st = f.structure();
+  const index_t end = panel_limit < 0 ? st.num_panels() : panel_limit;
   Workspace<T> ws;
-  Workspace<T> prescale_ws;
-  for (index_t p = 0; p < st.num_panels(); ++p) {
+  for (index_t p = 0; p < end; ++p) {
     factor_panel(f, p);
-    const T* prescaled = nullptr;
-    if (f.kind() == Factorization::LDLT && !per_update_scale &&
-        !st.targets[p].empty()) {
-      prescale_ldlt(f, p, prescale_ws);
-      prescaled = prescale_ws.scaled.data();
-    }
     for (const UpdateEdge& e : st.targets[p]) {
-      apply_update(f, p, e, variant, ws, prescaled);
+      apply_update(f, p, e, variant, ws);
     }
   }
 }
@@ -49,15 +43,15 @@ void factorize_sequential_left(FactorData<T>& f, UpdateVariant variant) {
 }
 
 template void factorize_sequential<real_t>(FactorData<real_t>&,
-                                           UpdateVariant, bool);
+                                           UpdateVariant, index_t);
 template void factorize_sequential<complex_t>(FactorData<complex_t>&,
-                                              UpdateVariant, bool);
+                                              UpdateVariant, index_t);
 template void factorize_sequential_left<real_t>(FactorData<real_t>&,
                                                 UpdateVariant);
 template void factorize_sequential_left<complex_t>(FactorData<complex_t>&,
                                                    UpdateVariant);
 template void factorize_sequential<real32_t>(FactorData<real32_t>&,
-                                             UpdateVariant, bool);
+                                             UpdateVariant, index_t);
 template void factorize_sequential_left<real32_t>(FactorData<real32_t>&,
                                                   UpdateVariant);
 

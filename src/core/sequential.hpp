@@ -9,14 +9,14 @@ namespace spx {
 
 /// Factorizes in place, panel by panel (right-looking, PASTIX's choice:
 /// each factored panel immediately scatters its updates).  `variant`
-/// selects the update kernel path.  LDL^T prescales each panel once for
-/// all its updates; `per_update_scale` instead has every update scale its
-/// own facing rows, as a task runtime's update tasks do (bit-identical
-/// products).
+/// selects the update kernel path.  `panel_limit` restricts the loop to
+/// panels [0, panel_limit) (-1 = all): their updates still land on every
+/// later panel, which is the partial factorization a Schur complement
+/// needs.
 template <typename T>
 void factorize_sequential(FactorData<T>& f,
                           UpdateVariant variant = UpdateVariant::TempBuffer,
-                          bool per_update_scale = false);
+                          index_t panel_limit = -1);
 
 /// Left-looking variant (paper §III: "all tasks contributing to a single
 /// panel are associated in a single task, they have a lot of input edges
@@ -28,9 +28,9 @@ void factorize_sequential_left(
     FactorData<T>& f, UpdateVariant variant = UpdateVariant::TempBuffer);
 
 extern template void factorize_sequential<real_t>(FactorData<real_t>&,
-                                                  UpdateVariant, bool);
+                                                  UpdateVariant, index_t);
 extern template void factorize_sequential<complex_t>(FactorData<complex_t>&,
-                                                     UpdateVariant, bool);
+                                                     UpdateVariant, index_t);
 extern template void factorize_sequential_left<real_t>(FactorData<real_t>&,
                                                        UpdateVariant);
 extern template void factorize_sequential_left<complex_t>(

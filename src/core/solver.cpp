@@ -344,7 +344,7 @@ void Solver<T>::factorize_numeric(FactorData<T>& f, obs::SpanContext parent) {
   const Factorization kind = kind_;
   Timer wall;
   if (options_.runtime == RuntimeKind::Sequential) {
-    factorize_sequential(f, options_.cpu_variant, false);
+    factorize_sequential(f);
     stats_ = RunStats{};
     stats_.makespan = wall.elapsed();
     stats_.tasks_cpu = analysis_->structure.num_panels();
@@ -356,7 +356,6 @@ void Solver<T>::factorize_numeric(FactorData<T>& f, obs::SpanContext parent) {
     }
     TaskTable table(analysis_->structure, kind);
     RealDriverOptions dopts;
-    dopts.cpu_variant = options_.cpu_variant;
     // Inherit the instrumentation layer; driver spans (driver.run and the
     // per-task spans) parent under this factorize's span.
     dopts.instr = options_.instr;
@@ -437,18 +436,18 @@ void Solver<T>::direct_solve(const FactorVersion<T>& v,
 }
 
 template <typename T>
-SolveReport Solver<T>::refine_degraded(const FactorVersion<T>& v,
-                                       std::span<T> x,
-                                       std::span<const T> b0) const {
+SolveReport Solver<T>::refine(const FactorVersion<T>& v,
+                              const CscMatrix<T>& a, std::span<T> x,
+                              std::span<const T> b0, double tol,
+                              int max_iter) const {
   SolveReport report;
-  report.degraded = true;
   const std::size_t n = b0.size();
   double bnorm = 0.0;
   for (const T& v : b0) bnorm = std::max(bnorm, (double)magnitude<T>(v));
   if (bnorm == 0.0) bnorm = 1.0;
   std::vector<T> residual(n);
-  for (int iter = 0; iter <= options_.refine_max_iter; ++iter) {
-    v.refine_matrix->multiply(std::span<const T>(x.data(), n), residual);
+  for (int iter = 0; iter <= max_iter; ++iter) {
+    a.multiply(std::span<const T>(x.data(), n), residual);
     double rnorm = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       residual[i] = b0[i] - residual[i];
@@ -456,10 +455,7 @@ SolveReport Solver<T>::refine_degraded(const FactorVersion<T>& v,
     }
     report.backward_error = rnorm / bnorm;
     report.refine_iterations = iter;
-    if (report.backward_error <= options_.refine_tolerance ||
-        iter == options_.refine_max_iter) {
-      break;
-    }
+    if (report.backward_error <= tol || iter == max_iter) break;
     direct_solve(v, residual);
     for (std::size_t i = 0; i < n; ++i) x[i] += residual[i];
   }
@@ -477,26 +473,6 @@ void Solver<T>::note_solve_metrics(index_t nrhs,
                 "Post-solve iterative-refinement sweeps")
         .inc(report.refine_iterations);
   }
-}
-
-template <typename T>
-SolveReport Solver<T>::solve(std::span<T> b) const {
-  const std::shared_ptr<const FactorVersion<T>> v = pinned();
-  SPX_CHECK_ARG(v != nullptr,
-                "solve() without factors: factorize() has not run since "
-                "the last analyze()");
-  SPX_CHECK_ARG(static_cast<index_t>(b.size()) == analysis_->perm.size(),
-                "rhs size mismatch");
-  obs::ScopedSpan span;
-  SPX_OBS(span = obs::ScopedSpan(options_.instr.tracer, "solver.solve",
-                                 "service-", options_.instr.parent, 0, 1));
-  std::vector<T> b0;
-  if (v->degraded()) b0.assign(b.begin(), b.end());
-  direct_solve(*v, b);
-  SolveReport report;
-  if (v->degraded()) report = refine_degraded(*v, b, b0);
-  SPX_OBS(note_solve_metrics(1, report));
-  return report;
 }
 
 template <typename T>
@@ -536,9 +512,10 @@ SolveReport Solver<T>::solve_multi(std::span<T> b, index_t nrhs,
   SolveReport worst;
   worst.degraded = true;
   for (index_t c = 0; c < nrhs; ++c) {
-    const SolveReport r = refine_degraded(
-        *v, std::span<T>(b.data() + std::size_t(c) * n, n),
-        std::span<const T>(b0.data() + std::size_t(c) * n, n));
+    const SolveReport r = refine(
+        *v, *v->refine_matrix, std::span<T>(b.data() + std::size_t(c) * n, n),
+        std::span<const T>(b0.data() + std::size_t(c) * n, n),
+        options_.refine_tolerance, options_.refine_max_iter);
     worst.refine_iterations =
         std::max(worst.refine_iterations, r.refine_iterations);
     worst.backward_error = std::max(worst.backward_error, r.backward_error);
@@ -555,26 +532,9 @@ int Solver<T>::solve_refine(const CscMatrix<T>& a, std::span<const T> b,
   SPX_CHECK_ARG(v != nullptr,
                 "solve_refine() without factors: factorize() has not run "
                 "since the last analyze()");
-  const std::size_t n = b.size();
   std::copy(b.begin(), b.end(), x.begin());
-  direct_solve(*v, x);  // refinement below; don't stack the degraded path's
-  std::vector<T> residual(n), correction(n);
-  double bnorm = 0.0;
-  for (const T& v : b) bnorm = std::max(bnorm, (double)magnitude<T>(v));
-  if (bnorm == 0.0) bnorm = 1.0;
-  for (int iter = 1; iter <= max_iter; ++iter) {
-    a.multiply(std::span<const T>(x.data(), n), residual);
-    double rnorm = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      residual[i] = b[i] - residual[i];
-      rnorm = std::max(rnorm, (double)magnitude<T>(residual[i]));
-    }
-    if (rnorm / bnorm <= tol) return iter - 1;
-    std::copy(residual.begin(), residual.end(), correction.begin());
-    direct_solve(*v, correction);
-    for (std::size_t i = 0; i < n; ++i) x[i] += correction[i];
-  }
-  return max_iter;
+  direct_solve(*v, x);  // refined below, against `a`
+  return refine(*v, a, x, b, tol, max_iter).refine_iterations;
 }
 
 template class Solver<real_t>;

@@ -40,7 +40,6 @@
 #include <mutex>
 
 #include "core/analysis.hpp"
-#include "core/codelets.hpp"
 #include "core/factor_data.hpp"
 #include "core/solve.hpp"
 #include "obs/obs.hpp"
@@ -80,7 +79,6 @@ struct SolverOptions {
   HeteroOptions hetero;
   StarpuOptions starpu;
   ParsecOptions parsec;
-  UpdateVariant cpu_variant = UpdateVariant::TempBuffer;
   /// Calibrated performance-model file (models/*.json, produced by
   /// bench_calibration; see docs/PERF_MODELS.md).  Empty = flop oracle.
   /// A missing or corrupt file logs a warning and degrades to FlopCosts;
@@ -104,8 +102,8 @@ struct SolverOptions {
   /// Instrumentation layer (metrics registry, span tracer + parent
   /// context, fault harness), inherited by the real driver on every
   /// factorize().  The fault harness is also passed to FactorData as
-  /// AllocationHook.  Set once -- e.g. via OptionsBuilder
-  /// (service/options_builder.hpp) -- instead of per layer.
+  /// AllocationHook.  Set once here; ServiceOptions::solver carries it
+  /// into every request's solver.
   obs::InstrumentationOptions instr;
 };
 
@@ -192,10 +190,11 @@ class Solver {
   /// pattern-digest mismatch.  `parent` as for factorize().
   void refactorize(const CscMatrix<T>& a, obs::SpanContext parent = {});
 
-  /// In-place solve of A x = b using the current factors.  When the
-  /// factorization was perturbed, iterative refinement runs automatically
-  /// against the retained input matrix; the report says what happened.
-  SolveReport solve(std::span<T> b) const;
+  /// In-place solve of A x = b using the current factors:
+  /// solve_multi(b, 1).  When the factorization was perturbed, iterative
+  /// refinement runs automatically against the retained input matrix;
+  /// the report says what happened.
+  SolveReport solve(std::span<T> b) const { return solve_multi(b, 1); }
 
   /// In-place multi-RHS solve: `b` holds nrhs column-major right-hand
   /// sides of length n (leading dimension n).  Degraded factors refine
@@ -206,8 +205,10 @@ class Solver {
   SolveReport solve_multi(std::span<T> b, index_t nrhs,
                           obs::SpanContext parent = {}) const;
 
-  /// Iterative refinement: improves x (starting from a direct solve) until
-  /// the relative residual drops below `tol`; returns iterations used.
+  /// Iterative refinement against `a`: x starts from a direct solve of b
+  /// and improves until the relative residual drops below `tol` or
+  /// `max_iter` corrections ran; returns the corrections applied.  It
+  /// runs the loop that refines a degraded solve.
   int solve_refine(const CscMatrix<T>& a, std::span<const T> b,
                    std::span<T> x, double tol = 1e-12,
                    int max_iter = 10) const;
@@ -278,14 +279,17 @@ class Solver {
   /// Fills stats_ from `f` after a successful numeric sweep and retains
   /// `a` in `v` when the factors came out degraded.
   void finish_numeric(FactorVersion<T>& v, const CscMatrix<T>& a);
-  /// Registry bumps shared by solve()/solve_multi().
+  /// Registry bumps of solve_multi().
   void note_solve_metrics(index_t nrhs, const SolveReport& report) const;
   /// Plain substitution (no refinement) on a permuted-consistent rhs.
   void direct_solve(const FactorVersion<T>& v, std::span<T> b) const;
-  /// Refinement loop of the degraded path: improves x against
-  /// v.refine_matrix, starting from b0 (the original rhs).
-  SolveReport refine_degraded(const FactorVersion<T>& v, std::span<T> x,
-                              std::span<const T> b0) const;
+  /// Iterative refinement of x, a direct solve of b0, against `a`:
+  /// corrects x until the max-norm relative residual is at most `tol` or
+  /// `max_iter` corrections ran.  The report counts the corrections and
+  /// carries the last residual.
+  SolveReport refine(const FactorVersion<T>& v, const CscMatrix<T>& a,
+                     std::span<T> x, std::span<const T> b0, double tol,
+                     int max_iter) const;
   /// Makes `v` the version solves pin (null: not factorized) and returns
   /// the one it replaces.
   std::shared_ptr<FactorVersion<T>> publish(

@@ -1,9 +1,9 @@
-// The shared instrumentation layer of the layered options design
-// (DESIGN.md §11): one struct carrying every tracing / metrics /
-// fault-injection knob, embedded by RealDriverOptions, SolverOptions and
-// (through SolverOptions) service::ServiceOptions, so the knobs are set
-// once -- e.g. via spx::OptionsBuilder (service/options_builder.hpp) --
-// and inherited down the stack instead of being re-plumbed per layer.
+// The shared instrumentation layer (DESIGN.md §11): one struct carrying
+// every tracing / metrics / fault-injection knob, embedded by
+// RealDriverOptions, SolverOptions and (through SolverOptions)
+// service::ServiceOptions, so the knobs are set once -- as
+// SolverOptions::instr -- and inherited down the stack instead of being
+// re-plumbed per layer.
 #pragma once
 
 #include "obs/span.hpp"

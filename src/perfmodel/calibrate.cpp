@@ -395,8 +395,9 @@ PerfModel calibrate_kernels(const CalibrationOptions& options) {
     }
     t.fit();
     // The Direct path is what GPU-stream workers execute in the real
-    // driver; the CPU slot is kept too so a Direct cpu_variant can be
-    // modelled.
+    // driver.  CPU workers always run TempBuffer, so no task prediction
+    // reads the CPU slot; bench_calibration's kernel holdouts still check
+    // it against the host, and models/*.json keep it.
     model.set_table(KernelClass::GemmNtGapped, ResourceKind::GpuStream, t);
     model.set_table(KernelClass::GemmNtGapped, ResourceKind::Cpu,
                     std::move(t));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <deque>
 #include <thread>
 #include <unordered_map>
@@ -561,49 +560,6 @@ TransferCounters EngineGroup::totals() const {
     total += e->counters();
   }
   return total;
-}
-
-// ---- hetero_from_env -------------------------------------------------------
-
-namespace {
-
-bool env_int(const char* name, long* out) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  *out = std::strtol(v, nullptr, 10);
-  return true;
-}
-
-bool env_double(const char* name, double* out) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  *out = std::strtod(v, nullptr);
-  return true;
-}
-
-}  // namespace
-
-HeteroOptions hetero_from_env(HeteroOptions base) {
-  long engines = 0;
-  if (env_int("SPX_HETERO_ENGINES", &engines)) {
-    base.devices.assign(static_cast<std::size_t>(std::max(0L, engines)),
-                        EngineSpec{});
-  }
-  long streams = 0;
-  double bw = 0.0, latency_us = 0.0, mem_mb = 0.0;
-  const bool has_streams = env_int("SPX_HETERO_STREAMS", &streams);
-  const bool has_bw = env_double("SPX_HETERO_BW_GBPS", &bw);
-  const bool has_lat = env_double("SPX_HETERO_LATENCY_US", &latency_us);
-  const bool has_mem = env_double("SPX_HETERO_MEM_MB", &mem_mb);
-  for (EngineSpec& d : base.devices) {
-    if (has_streams) d.streams = static_cast<int>(std::max(1L, streams));
-    if (has_bw) d.bandwidth_gbps = bw;
-    if (has_lat) d.latency_seconds = latency_us * 1e-6;
-    if (has_mem) d.memory_bytes = mem_mb * 1024.0 * 1024.0;
-  }
-  long overlap = 0;
-  if (env_int("SPX_HETERO_OVERLAP", &overlap)) base.overlap = overlap != 0;
-  return base;
 }
 
 }  // namespace spx

@@ -186,9 +186,4 @@ class EngineGroup {
   std::vector<std::unique_ptr<DeviceEngine>> engines_;
 };
 
-/// HeteroOptions overridden by the SPX_HETERO_* environment knobs
-/// (documented in docs/DEVICE_ENGINES.md): _ENGINES, _STREAMS, _BW_GBPS,
-/// _LATENCY_US, _MEM_MB, _OVERLAP.  Unset variables keep `base` values.
-HeteroOptions hetero_from_env(HeteroOptions base = {});
-
 }  // namespace spx

@@ -10,9 +10,9 @@
 // panel's factor and updates still run back-to-back on their assigned
 // worker (the source panel stays in that worker's cache), but successors
 // are released as soon as *their* update lands, not when the whole 1D
-// task ends, and idle workers can steal individual units.  Like every
-// update task, each unit's LDL^T update scales only its edge's facing
-// rows; only merged subtree tasks prescale a whole panel.
+// task ends, and idle workers can steal individual units.  Each unit's
+// LDL^T update scales only its edge's facing rows, like every update
+// (core/codelets.hpp).
 //
 // CPU-only by design: the paper uses native PASTIX as the CPU reference
 // and never drives GPUs with it.

@@ -204,7 +204,7 @@ class RealRun {
   // skips the mutex entirely when no worker is parked; the Dekker-style
   // seq_cst ordering between generation_ and sleepers_ makes that safe.
   void worker_loop(int r) {
-    Workspace<T> ws, prescale_ws;
+    Workspace<T> ws;
     while (!aborted_.load(std::memory_order_acquire)) {
       const std::uint64_t gen = generation_.load();
       Task t;
@@ -250,7 +250,7 @@ class RealRun {
       SPX_OBS(if (tracer_ != nullptr) span_start = tracer_->now());
       Timer timer;
       try {
-        execute(t, r, ws, prescale_ws);
+        execute(t, r, ws);
       } catch (...) {
         if (engines_ != nullptr) {
           engines_->release(r, handles, {});  // drop pins, nothing written
@@ -336,12 +336,11 @@ class RealRun {
     wake_cv_.notify_all();
   }
 
-  void execute(const Task& t, int r, Workspace<T>& ws,
-               Workspace<T>& prescale_ws) {
+  void execute(const Task& t, int r, Workspace<T>& ws) {
     const Resource& res = machine_.resource(r);
     const UpdateVariant variant = res.kind == ResourceKind::GpuStream
                                       ? UpdateVariant::Direct
-                                      : options_.cpu_variant;
+                                      : UpdateVariant::TempBuffer;
     const SymbolicStructure& st = f_.structure();
     double& lock_wait = lock_wait_[static_cast<std::size_t>(r)];
     if (fault_ != nullptr && fault_->on_task_start()) {
@@ -353,16 +352,9 @@ class RealRun {
       // concurrent generic update tasks.
       for (const index_t m : sched_.subtree_groups()->members[t.panel]) {
         factor_panel(f_, m);
-        const T* prescaled = nullptr;
-        if (f_.kind() == Factorization::LDLT && !st.targets[m].empty()) {
-          // Inside a merged task the prescale buffer is task-local, so
-          // the fast native-style LDLT path applies.
-          prescale_ldlt(f_, m, prescale_ws);
-          prescaled = prescale_ws.scaled.data();
-        }
         for (const UpdateEdge& e : st.targets[m]) {
           TimedLock lock(panel_locks_[e.dst], lock_wait);
-          apply_update(f_, m, e, variant, ws, prescaled);
+          apply_update(f_, m, e, variant, ws);
         }
       }
       tasks_cpu_.fetch_add(1, std::memory_order_relaxed);
@@ -376,9 +368,7 @@ class RealRun {
     const UpdateEdge& e = st.targets[t.panel][t.edge];
     // Per-panel lock: the schedulers' commute gating already serializes
     // generic updates into one target, but merged subtree tasks write
-    // their external targets outside that protocol.  A single update task
-    // has no prescale buffer to share: with a null `prescaled`, LDL^T
-    // scales only the edge's facing rows.
+    // their external targets outside that protocol.
     TimedLock lock(panel_locks_[e.dst], lock_wait);
     apply_update(f_, t.panel, e, variant, ws);
     if (res.kind == ResourceKind::GpuStream) {

@@ -9,9 +9,10 @@
 // task's handles from the engine owning their resource (blocking on
 // throttled staging transfers), release them afterwards (MSI write
 // propagation), and pump prefetches for queued device tasks so transfers
-// overlap compute.  Streams run the buffer-free (Direct) update kernel,
-// the code path a device would run.  A CPU-only Machine with `hetero`
-// empty builds none of this machinery and pays no per-task overhead.
+// overlap compute.  CPU workers run the TempBuffer update kernel;
+// streams run the buffer-free (Direct) one, the code path a device would
+// run.  A CPU-only Machine with `hetero` empty builds none of this
+// machinery and pays no per-task overhead.
 //
 // Thread-safety contract: the generic schedulers serialize updates into
 // the same panel via their commute gating; the native scheduler's fused
@@ -20,7 +21,7 @@
 // Device engines reuse the same per-panel locks for staging memcpys.
 #pragma once
 
-#include "core/codelets.hpp"
+#include "core/factor_data.hpp"
 #include "obs/obs.hpp"
 #include "obs/options.hpp"
 #include "runtime/engine_model.hpp"
@@ -31,12 +32,9 @@
 namespace spx {
 
 struct RealDriverOptions {
-  /// Update kernel path for CPU workers (GPU streams always use Direct).
-  UpdateVariant cpu_variant = UpdateVariant::TempBuffer;
   /// Instrumentation layer: metrics registry, span tracer + parent
   /// context, and the fault harness.  All sinks must outlive the run.
-  /// Usually inherited from SolverOptions (which inherits it from
-  /// OptionsBuilder) rather than set here.
+  /// Usually inherited from SolverOptions::instr rather than set here.
   obs::InstrumentationOptions instr;
   /// Optional cost oracle compared against measured durations to fill
   /// RunStats::model_error (Panel/Update tasks only; Subtree tasks have no

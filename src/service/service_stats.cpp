@@ -1,5 +1,10 @@
 #include "service/service_stats.hpp"
 
+#include <new>
+
+#include "common/error.hpp"
+#include "runtime/fault_injection.hpp"
+
 namespace spx::service {
 
 const char* to_string(RequestStatus s) {
@@ -53,6 +58,19 @@ ErrorCode code_for_unrun(RequestStatus s) {
     default:
       return ErrorCode::Internal;  // shutdown drain / never-ran failures
   }
+}
+
+ErrorCode code_for_exception(const std::exception& e) {
+  if (dynamic_cast<const InjectedFault*>(&e) != nullptr) {
+    return ErrorCode::InjectedFault;
+  }
+  if (dynamic_cast<const NumericalError*>(&e) != nullptr) {
+    return ErrorCode::NumericalFailed;
+  }
+  if (dynamic_cast<const std::bad_alloc*>(&e) != nullptr) {
+    return ErrorCode::OutOfMemory;
+  }
+  return ErrorCode::Internal;
 }
 
 const char* to_string(CacheOutcome c) {

@@ -8,6 +8,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <string>
 
@@ -48,6 +49,11 @@ const char* to_string(ErrorCode c);
 
 /// The code a never-executed terminal status maps to.
 ErrorCode code_for_unrun(RequestStatus s);
+
+/// The code of a request whose execution threw `e`: InjectedFault,
+/// NumericalFailed for a NumericalError, OutOfMemory for std::bad_alloc,
+/// Internal for anything else.
+ErrorCode code_for_exception(const std::exception& e);
 
 /// What the analysis cache did for a factorize request.
 enum class CacheOutcome {

@@ -120,12 +120,14 @@ std::map<std::string, TenantStats> SharedCounters::tenant_snapshot() const {
   return out;
 }
 
-void FactorizeJob::complete_unrun(RequestStatus status, std::string error) {
+template <typename Result>
+void ResultJob<Result>::complete_unrun(RequestStatus status,
+                                       std::string error) {
   counters->count_unrun(status);
   if (status == RequestStatus::Rejected) counters->note_tenant_rejected(tenant);
   stats.code = code_for_unrun(status);
   stats.completion_seq = 1 + counters->completion_seq.fetch_add(1);
-  FactorizeResult r;
+  Result r;
   r.status = status;
   r.code = stats.code;
   r.error = std::move(error);
@@ -134,33 +136,8 @@ void FactorizeJob::complete_unrun(RequestStatus status, std::string error) {
   notify_complete();
 }
 
-void RefactorizeJob::complete_unrun(RequestStatus status, std::string error) {
-  counters->count_unrun(status);
-  if (status == RequestStatus::Rejected) counters->note_tenant_rejected(tenant);
-  stats.code = code_for_unrun(status);
-  stats.completion_seq = 1 + counters->completion_seq.fetch_add(1);
-  FactorizeResult r;
-  r.status = status;
-  r.code = stats.code;
-  r.error = std::move(error);
-  r.stats = stats;
-  promise.set_value(std::move(r));
-  notify_complete();
-}
-
-void SolveJob::complete_unrun(RequestStatus status, std::string error) {
-  counters->count_unrun(status);
-  if (status == RequestStatus::Rejected) counters->note_tenant_rejected(tenant);
-  stats.code = code_for_unrun(status);
-  stats.completion_seq = 1 + counters->completion_seq.fetch_add(1);
-  SolveResult r;
-  r.status = status;
-  r.code = stats.code;
-  r.error = std::move(error);
-  r.stats = stats;
-  promise.set_value(std::move(r));
-  notify_complete();
-}
+template struct ResultJob<FactorizeResult>;
+template struct ResultJob<SolveResult>;
 
 SolveService::SolveService(ServiceOptions options)
     : options_(std::move(options)),
@@ -494,17 +471,8 @@ void SolveService::run_factorize(const std::shared_ptr<FactorizeJob>& job) {
       counters_->note_tenant_done(job->tenant, JobKind::Factorize, st.fp32,
                                   st.precision_fallback);
       break;
-    } catch (const InjectedFault& e) {
-      code = ErrorCode::InjectedFault;
-      error = e.what();
-    } catch (const NumericalError& e) {
-      code = ErrorCode::NumericalFailed;
-      error = e.what();
-    } catch (const std::bad_alloc&) {
-      code = ErrorCode::OutOfMemory;
-      error = "factor allocation failed";
     } catch (const std::exception& e) {
-      code = ErrorCode::Internal;
+      code = code_for_exception(e);
       error = e.what();
     }
     // Retry transient-or-absorbable failures with escalating epsilon and
@@ -628,17 +596,8 @@ void SolveService::run_refactorize(
     counters_->count_code(res.code);
     counters_->note_tenant_done(job->tenant, JobKind::Refactorize, st.fp32,
                                 fallback);
-  } catch (const InjectedFault& e) {
-    code = ErrorCode::InjectedFault;
-    error = e.what();
-  } catch (const NumericalError& e) {
-    code = ErrorCode::NumericalFailed;
-    error = e.what();
-  } catch (const std::bad_alloc&) {
-    code = ErrorCode::OutOfMemory;
-    error = "factor allocation failed";
   } catch (const std::exception& e) {
-    code = ErrorCode::Internal;
+    code = code_for_exception(e);
     error = e.what();
   }
   if (res.status != RequestStatus::Done) {
@@ -772,12 +731,7 @@ void SolveService::run_solve_batch(const std::shared_ptr<SolveJob>& first) {
       job.notify_complete();
     }
   } catch (const std::exception& e) {
-    ErrorCode code = ErrorCode::Internal;
-    if (dynamic_cast<const InjectedFault*>(&e) != nullptr) {
-      code = ErrorCode::InjectedFault;
-    } else if (dynamic_cast<const NumericalError*>(&e) != nullptr) {
-      code = ErrorCode::NumericalFailed;
-    }
+    const ErrorCode code = code_for_exception(e);
     for (const std::shared_ptr<SolveJob>& job : runnable) {
       SolveResult r;
       r.status = RequestStatus::Failed;

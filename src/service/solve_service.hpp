@@ -210,33 +210,36 @@ struct SolveResult {
   bool degraded() const { return code == ErrorCode::NumericalDegraded; }
 };
 
-struct FactorizeJob : JobBase {
-  FactorizeJob() : JobBase(JobKind::Factorize) {}
+/// A request whose completion fulfills a promise of `Result`.
+template <typename Result>
+struct ResultJob : JobBase {
+  using JobBase::JobBase;
+  RequestStats stats;
+  std::promise<Result> promise;
+  void complete_unrun(RequestStatus status, std::string error) override;
+};
+
+extern template struct ResultJob<FactorizeResult>;
+extern template struct ResultJob<SolveResult>;
+
+struct FactorizeJob : ResultJob<FactorizeResult> {
+  FactorizeJob() : ResultJob(JobKind::Factorize) {}
   std::shared_ptr<const CscMatrix<real_t>> matrix;
   Factorization fkind = Factorization::LLT;
   PrecisionPolicy policy = PrecisionPolicy::Fp64;  ///< resolved at submit
-  RequestStats stats;
-  std::promise<FactorizeResult> promise;
-  void complete_unrun(RequestStatus status, std::string error) override;
 };
 
-struct RefactorizeJob : JobBase {
-  RefactorizeJob() : JobBase(JobKind::Refactorize) {}
+struct RefactorizeJob : ResultJob<FactorizeResult> {
+  RefactorizeJob() : ResultJob(JobKind::Refactorize) {}
   FactorHandle factor;
   std::vector<real_t> values;  ///< new numeric values, length nnz(A)
-  RequestStats stats;
-  std::promise<FactorizeResult> promise;
-  void complete_unrun(RequestStatus status, std::string error) override;
 };
 
-struct SolveJob : JobBase {
-  SolveJob() : JobBase(JobKind::Solve) {}
+struct SolveJob : ResultJob<SolveResult> {
+  SolveJob() : ResultJob(JobKind::Solve) {}
   FactorHandle factor;
   std::vector<real_t> rhs;  ///< nrhs column-major RHS of length n
   index_t nrhs = 1;
-  RequestStats stats;
-  std::promise<SolveResult> promise;
-  void complete_unrun(RequestStatus status, std::string error) override;
 };
 
 /// Handle to an in-flight request: a future for the result plus a

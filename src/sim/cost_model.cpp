@@ -167,14 +167,11 @@ void CostModel::precompute() {
             ldlt ? GpuGemmVariant::SparseLdlt : GpuGemmVariant::Sparse,
             gap);
         uc.gpu_demand += gpu_gemm_demand(m, nb);
-        // CPU traffic: A and W/C per block.
-        const double wbuf =
-            options_.cpu_variant == UpdateVariant::TempBuffer
-                ? 2.0 * m * nb  // buffer write + scatter read
-                : 0.0;
+        // CPU traffic: A and W/C per block, plus the TempBuffer
+        // kernel's buffer write and scatter read.
         uc.src_bytes += bytes_factor_ * (m * w + nb * w);
         uc.dst_bytes += bytes_factor_ * 2.0 * m * nb;
-        uc.cpu_bytes += bytes_factor_ * wbuf;
+        uc.cpu_bytes += bytes_factor_ * 2.0 * m * nb;
         if (kind_ == Factorization::LU) {
           // U-side mirror GEMM.
           const double mu = sp.nrows - last_off;
@@ -185,10 +182,7 @@ void CostModel::precompute() {
             uc.gpu_demand += gpu_gemm_demand(mu, nb);
             uc.src_bytes += bytes_factor_ * (mu * w + nb * w);
             uc.dst_bytes += bytes_factor_ * 2.0 * mu * nb;
-            uc.cpu_bytes += bytes_factor_ *
-                            (options_.cpu_variant == UpdateVariant::TempBuffer
-                                 ? 2.0 * mu * nb
-                                 : 0.0);
+            uc.cpu_bytes += bytes_factor_ * 2.0 * mu * nb;
           }
         }
       }

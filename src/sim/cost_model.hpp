@@ -19,7 +19,6 @@
 
 #include <vector>
 
-#include "core/codelets.hpp"
 #include "runtime/task.hpp"
 #include "sim/platform.hpp"
 
@@ -41,9 +40,10 @@ double gpu_gemm_seconds(const PlatformSpec& spec, double m, double n,
 /// SM demand of that kernel in [0, 1].
 double gpu_gemm_demand(const PlatformSpec& spec, double m, double n);
 
-/// Which LDL^T update kernel the runtime uses (see codelets.hpp): the
-/// native scheduler prescales once per panel, the generic runtimes pay the
-/// fused rescale in every update task.
+/// Which LDL^T update kernel the simulated runtime uses (paper §V-A,
+/// Fig. 2): native PASTIX prescales each panel once into a D*L^T buffer,
+/// the generic runtimes pay the fused rescale in every update task.  The
+/// real code runs only the fused kernel (core/codelets.hpp).
 enum class LdltStrategy { Prescaled, Fused };
 
 class CostModel : public TaskCosts {
@@ -51,7 +51,6 @@ class CostModel : public TaskCosts {
   struct Options {
     bool complex_arith = false;
     LdltStrategy ldlt = LdltStrategy::Fused;
-    UpdateVariant cpu_variant = UpdateVariant::TempBuffer;
     double task_overhead = 2e-6;
     /// Optional calibrated model (docs/PERF_MODELS.md): CPU task times it
     /// covers replace the analytic roofline, grounding the simulated host

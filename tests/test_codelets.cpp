@@ -69,8 +69,7 @@ std::vector<T> values_as(std::span<const real_t> v) {
 /// The per-block update: one gemm_nt_ref per facing block (and side) into
 /// a buffer, subtracted through a row map built for that block.
 template <typename T>
-void reference_update(FactorData<T>& f, index_t src, const UpdateEdge& e,
-                      const T* prescaled) {
+void reference_update(FactorData<T>& f, index_t src, const UpdateEdge& e) {
   const SymbolicStructure& st = f.structure();
   const Panel& sp = st.panels[src];
   const Panel& dp = st.panels[e.dst];
@@ -101,21 +100,16 @@ void reference_update(FactorData<T>& f, index_t src, const UpdateEdge& e,
                      f.panel_l(e.dst));
         break;
       case Factorization::LDLT:
-        if (prescaled != nullptr) {
-          gemm_scatter(blk.offset, blk, l + blk.offset, prescaled + blk.offset,
-                       ld, f.panel_l(e.dst));
-        } else {
-          scaled.resize(static_cast<std::size_t>(blk.height()) * w);
-          for (index_t j = 0; j < w; ++j) {
-            for (index_t i = 0; i < blk.height(); ++i) {
-              scaled[i + static_cast<std::size_t>(j) * blk.height()] =
-                  l[blk.offset + i + static_cast<std::size_t>(j) * ld] *
-                  f.panel_d(src)[j];
-            }
+        scaled.resize(static_cast<std::size_t>(blk.height()) * w);
+        for (index_t j = 0; j < w; ++j) {
+          for (index_t i = 0; i < blk.height(); ++i) {
+            scaled[i + static_cast<std::size_t>(j) * blk.height()] =
+                l[blk.offset + i + static_cast<std::size_t>(j) * ld] *
+                f.panel_d(src)[j];
           }
-          gemm_scatter(blk.offset, blk, l + blk.offset, scaled.data(),
-                       blk.height(), f.panel_l(e.dst));
         }
+        gemm_scatter(blk.offset, blk, l + blk.offset, scaled.data(),
+                     blk.height(), f.panel_l(e.dst));
         break;
       case Factorization::LU: {
         const T* u = f.panel_u(src);
@@ -207,12 +201,11 @@ double norm(const std::vector<T>& a) {
 
 /// Factors `a` panel by panel; after each panel, runs every update edge
 /// through the reference, TempBuffer and Direct paths from the same
-/// state and compares the target panels.  `fused` selects the LDL^T
-/// per-update scaling (no prescaled buffer).
+/// state and compares the target panels.
 template <typename T>
 void check_every_edge(const CscMatrix<real_t>& a, const AnalysisOptions& opts,
-                      Factorization kind, bool fused) {
-  SCOPED_TRACE(std::string(to_string(kind)) + (fused ? " fused" : ""));
+                      Factorization kind) {
+  SCOPED_TRACE(to_string(kind));
   const Analysis an = analyze(a, opts);
   const SymbolicStructure& st = an.structure;
   FactorData<T> f(st, kind);
@@ -220,25 +213,20 @@ void check_every_edge(const CscMatrix<real_t>& a, const AnalysisOptions& opts,
   f.assemble(build_assembly_map(st, an.perm, a.colptr(), a.rowind()),
              std::span<const T>(vals));
   const double tol = std::is_same_v<T, real32_t> ? 1e-5 : 1e-12;
-  Workspace<T> ws, prescale_ws;
+  Workspace<T> ws;
   std::size_t edges = 0;
   for (index_t p = 0; p < st.num_panels(); ++p) {
     factor_panel(f, p);
-    const T* prescaled = nullptr;
-    if (kind == Factorization::LDLT && !fused && !st.targets[p].empty()) {
-      prescale_ldlt(f, p, prescale_ws);
-      prescaled = prescale_ws.scaled.data();
-    }
     for (const UpdateEdge& e : st.targets[p]) {
       const std::vector<T> before = target_values(f, e.dst);
-      reference_update(f, p, e, prescaled);
+      reference_update(f, p, e);
       const std::vector<T> want = target_values(f, e.dst);
       std::vector<T> got[2];
       const UpdateVariant variants[2] = {UpdateVariant::TempBuffer,
                                          UpdateVariant::Direct};
       for (int v = 0; v < 2; ++v) {
         set_target_values(f, e.dst, before);
-        apply_update(f, p, e, variants[v], ws, prescaled);
+        apply_update(f, p, e, variants[v], ws);
         got[v] = target_values(f, e.dst);
       }
       const std::vector<bool> mask = footprint(st, p, e, kind);
@@ -266,10 +254,9 @@ void check_every_edge(const CscMatrix<real_t>& a, const AnalysisOptions& opts,
 template <typename T>
 void check_all_kinds(const CscMatrix<real_t>& a, const AnalysisOptions& opts) {
   const CscMatrix<real_t> spd = spd_values(a);
-  check_every_edge<T>(spd, opts, Factorization::LLT, false);
-  check_every_edge<T>(spd, opts, Factorization::LDLT, false);
-  check_every_edge<T>(spd, opts, Factorization::LDLT, true);
-  check_every_edge<T>(a, opts, Factorization::LU, false);
+  check_every_edge<T>(spd, opts, Factorization::LLT);
+  check_every_edge<T>(spd, opts, Factorization::LDLT);
+  check_every_edge<T>(a, opts, Factorization::LU);
 }
 
 /// Real and fp32 GEMMs dispatch per ISA tier: run every tier the host

@@ -88,7 +88,6 @@ TEST(SeqFactor, LuRandomStructurallySymmetric) {
 
 struct Config {
   UpdateVariant variant;
-  bool per_update_scale;
   OrderingMethod ordering;
 };
 
@@ -98,9 +97,7 @@ void PrintTo(const Config& c, std::ostream* os) {
   static constexpr const char* kVariants[] = {"TempBuffer", "Direct"};
   static constexpr const char* kOrderings[] = {
       "NestedDissection", "MinimumDegree", "RCM", "Natural"};
-  *os << "{" << kVariants[static_cast<int>(c.variant)]
-      << ", per_update_scale=" << (c.per_update_scale ? "true" : "false")
-      << ", "
+  *os << "{" << kVariants[static_cast<int>(c.variant)] << ", "
       << kOrderings[static_cast<int>(c.ordering)] << "}";
 }
 
@@ -113,9 +110,7 @@ TEST_P(FactorConfigs, CholeskyResidualSmall) {
   const auto a = gen::grid2d_laplacian(13, 11);
   const double r = solve_residual<real_t>(
       a, Factorization::LLT,
-      [&](FactorData<real_t>& f) {
-        factorize_sequential(f, cfg.variant, cfg.per_update_scale);
-      },
+      [&](FactorData<real_t>& f) { factorize_sequential(f, cfg.variant); },
       opts);
   EXPECT_LT(r, kTol);
 }
@@ -128,9 +123,7 @@ TEST_P(FactorConfigs, LdltResidualSmall) {
   const auto a = gen::random_sym_indefinite(90, 0.06, rng);
   const double r = solve_residual<real_t>(
       a, Factorization::LDLT,
-      [&](FactorData<real_t>& f) {
-        factorize_sequential(f, cfg.variant, cfg.per_update_scale);
-      },
+      [&](FactorData<real_t>& f) { factorize_sequential(f, cfg.variant); },
       opts);
   EXPECT_LT(r, kTol);
 }
@@ -142,9 +135,7 @@ TEST_P(FactorConfigs, LuResidualSmall) {
   const auto a = gen::convection_diffusion3d(5, 5, 4, 10.0);
   const double r = solve_residual<real_t>(
       a, Factorization::LU,
-      [&](FactorData<real_t>& f) {
-        factorize_sequential(f, cfg.variant, cfg.per_update_scale);
-      },
+      [&](FactorData<real_t>& f) { factorize_sequential(f, cfg.variant); },
       opts);
   EXPECT_LT(r, kTol);
 }
@@ -154,17 +145,13 @@ TEST_P(FactorConfigs, LuResidualSmall) {
 INSTANTIATE_TEST_SUITE_P(
     VariantsAndOrderings, FactorConfigs,
     ::testing::Values(
-        Config{UpdateVariant::TempBuffer, false,
-               OrderingMethod::NestedDissection},
-        Config{UpdateVariant::Direct, false,
-               OrderingMethod::NestedDissection},
-        Config{UpdateVariant::TempBuffer, true,
-               OrderingMethod::NestedDissection},
-        Config{UpdateVariant::Direct, true, OrderingMethod::NestedDissection},
-        Config{UpdateVariant::TempBuffer, false,
-               OrderingMethod::MinimumDegree},
-        Config{UpdateVariant::TempBuffer, false, OrderingMethod::RCM},
-        Config{UpdateVariant::TempBuffer, false, OrderingMethod::Natural}));
+        Config{UpdateVariant::TempBuffer, OrderingMethod::NestedDissection},
+        Config{UpdateVariant::Direct, OrderingMethod::NestedDissection},
+        Config{UpdateVariant::Direct, OrderingMethod::MinimumDegree},
+        Config{UpdateVariant::Direct, OrderingMethod::RCM},
+        Config{UpdateVariant::TempBuffer, OrderingMethod::MinimumDegree},
+        Config{UpdateVariant::TempBuffer, OrderingMethod::RCM},
+        Config{UpdateVariant::TempBuffer, OrderingMethod::Natural}));
 
 // Both update variants must produce *identical* factors (same arithmetic,
 // different data movement).
@@ -381,9 +368,9 @@ TEST(LeftLooking, BitIdenticalToRightLooking) {
   FactorData<real_t> left(an.structure, Factorization::LLT);
   right.initialize(ap);
   left.initialize(ap);
-  // Right-looking with per-update LDL^T scaling is arithmetically the
-  // same sequence as the left-looking gather; results must match exactly.
-  factorize_sequential(right, UpdateVariant::TempBuffer, true);
+  // Right-looking applies the same updates in the same order per target
+  // as the left-looking gather; results must match exactly.
+  factorize_sequential(right, UpdateVariant::TempBuffer);
   factorize_sequential_left(left, UpdateVariant::TempBuffer);
   for (index_t p = 0; p < an.structure.num_panels(); ++p) {
     const Panel& panel = an.structure.panels[p];

@@ -154,31 +154,6 @@ TEST(TaskHandles, PanelAndUpdateSets) {
   FAIL() << "no update edges in test structure";
 }
 
-// ---------------- env knob parsing --------------------------------------
-
-TEST(HeteroEnv, OverridesBaseOptions) {
-  setenv("SPX_HETERO_ENGINES", "2", 1);
-  setenv("SPX_HETERO_STREAMS", "3", 1);
-  setenv("SPX_HETERO_BW_GBPS", "4.5", 1);
-  setenv("SPX_HETERO_LATENCY_US", "50", 1);
-  setenv("SPX_HETERO_MEM_MB", "64", 1);
-  setenv("SPX_HETERO_OVERLAP", "0", 1);
-  const HeteroOptions opts = hetero_from_env();
-  unsetenv("SPX_HETERO_ENGINES");
-  unsetenv("SPX_HETERO_STREAMS");
-  unsetenv("SPX_HETERO_BW_GBPS");
-  unsetenv("SPX_HETERO_LATENCY_US");
-  unsetenv("SPX_HETERO_MEM_MB");
-  unsetenv("SPX_HETERO_OVERLAP");
-  ASSERT_EQ(opts.devices.size(), 2u);
-  EXPECT_EQ(opts.devices[0].streams, 3);
-  EXPECT_DOUBLE_EQ(opts.devices[1].bandwidth_gbps, 4.5);
-  EXPECT_DOUBLE_EQ(opts.devices[0].latency_seconds, 50e-6);
-  EXPECT_DOUBLE_EQ(opts.devices[1].memory_bytes, 64.0 * 1024 * 1024);
-  EXPECT_FALSE(opts.overlap);
-  EXPECT_EQ(opts.uniform_streams(), 3);
-}
-
 // ---------------- end-to-end staged execution ---------------------------
 
 struct HeteroRun {

@@ -1,7 +1,7 @@
 // Observability-layer unit tests (DESIGN.md §11, docs/OBSERVABILITY.md):
 // sharded metric exactness under contention, span parent/child integrity,
-// the bounded tracer ring, exporter golden files, Exportable golden keys,
-// and the layered OptionsBuilder.
+// the bounded tracer ring, exporter golden files and Exportable golden
+// keys.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -14,7 +14,7 @@
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
 #include "runtime/run_stats.hpp"
-#include "service/options_builder.hpp"
+#include "runtime/task.hpp"
 #include "service/service_stats.hpp"
 
 namespace spx {
@@ -273,39 +273,6 @@ TEST(Export, ServiceStatsGoldenKeys) {
   EXPECT_EQ(v.at("errors").at("none").as_number(), 4.0);
   EXPECT_EQ(v.at("cache").at("hits").as_number(), 2.0);
   EXPECT_EQ(v.at("health").as_string(), "degraded");
-}
-
-// ---- layered options builder --------------------------------------------
-
-TEST(Builder, InstrumentationFlowsIntoEveryLayer) {
-  obs::MetricsRegistry registry;
-  obs::Tracer tracer;
-  FaultInjector fault;
-  OptionsBuilder b;
-  b.metrics(&registry).tracer(&tracer).fault(&fault).threads(3);
-
-  const SolverOptions s = b.solver_options();
-  EXPECT_EQ(s.instr.metrics, &registry);
-  EXPECT_EQ(s.instr.tracer, &tracer);
-  EXPECT_EQ(s.instr.fault, &fault);
-  EXPECT_EQ(s.num_threads, 3);
-
-  const RealDriverOptions d = b.driver_options();
-  EXPECT_EQ(d.instr.metrics, &registry);
-  EXPECT_EQ(d.instr.tracer, &tracer);
-  EXPECT_EQ(d.instr.fault, &fault);
-
-  const service::ServiceOptions svc = b.service_options();
-  EXPECT_EQ(svc.solver.instr.metrics, &registry);
-  EXPECT_EQ(svc.solver.instr.tracer, &tracer);
-}
-
-TEST(Builder, ServiceKeepsSequentialDefaultUnlessRuntimeChosen) {
-  OptionsBuilder b;
-  EXPECT_EQ(b.service_options().solver.runtime, RuntimeKind::Sequential);
-  b.runtime(RuntimeKind::Native);
-  EXPECT_EQ(b.service_options().solver.runtime, RuntimeKind::Native);
-  EXPECT_EQ(b.solver_options().runtime, RuntimeKind::Native);
 }
 
 }  // namespace

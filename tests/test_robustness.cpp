@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <new>
+#include <stdexcept>
 
 #include "common/json.hpp"
 #include "kernels/dense.hpp"
@@ -437,6 +439,18 @@ TEST(ServiceResilience, UnrunTerminalsMapToStructuredCodes) {
   const FactorizeResult r1 = t1.get();
   EXPECT_EQ(r1.status, RequestStatus::Failed);
   EXPECT_EQ(r1.code, ErrorCode::Internal);
+}
+
+TEST(ServiceResilience, ThrownExceptionsMapToStructuredCodes) {
+  using service::code_for_exception;
+  EXPECT_EQ(code_for_exception(std::bad_alloc()), ErrorCode::OutOfMemory);
+  EXPECT_EQ(code_for_exception(InjectedFault("fault")),
+            ErrorCode::InjectedFault);
+  EXPECT_EQ(code_for_exception(NumericalError("pivot")),
+            ErrorCode::NumericalFailed);
+  EXPECT_EQ(code_for_exception(std::runtime_error("other")),
+            ErrorCode::Internal);
+  EXPECT_EQ(code_for_exception(InvalidArgument("bad")), ErrorCode::Internal);
 }
 
 // ---------- JSON golden keys --------------------------------------------

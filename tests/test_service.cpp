@@ -195,6 +195,9 @@ TEST(SolveService, FactorizeAndSolveMatchDirectSolver) {
   const std::vector<real_t> b = rhs_for(a, xstar);
 
   SolveService svc;
+  // The service scales by concurrent requests, one worker each: its
+  // solvers default to the sequential runtime, not nested thread pools.
+  EXPECT_EQ(svc.options().solver.runtime, RuntimeKind::Sequential);
   const FactorizeResult fr =
       svc.factorize("tenant-a", shared(a), Factorization::LLT);
   ASSERT_TRUE(fr.ok()) << fr.error;

@@ -178,19 +178,38 @@ TEST(MultiRhs, RespectsLeadingDimension) {
 }
 
 TEST(MultiRhs, OneColumnMatchesSolveBitwise) {
-  const auto a = gen::grid3d_laplacian(6, 6, 6);
-  for (const Factorization kind :
-       {Factorization::LLT, Factorization::LDLT, Factorization::LU}) {
+  struct Input {
+    CscMatrix<real_t> a;
+    Factorization kind;
+    bool degraded;
+  };
+  const auto grid = gen::grid3d_laplacian(6, 6, 6);
+  const std::vector<Input> inputs = {
+      {grid, Factorization::LLT, false},
+      {grid, Factorization::LDLT, false},
+      {grid, Factorization::LU, false},
+      // A perturbed pivot: both solves refine against the retained matrix.
+      {gen::tiny_pivot(64, 1e-25), Factorization::LDLT, true}};
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(to_string(in.kind));
     Solver<real_t> solver;
-    solver.analyze(a);
-    solver.factorize(a, kind);
+    solver.analyze(in.a);
+    solver.factorize(in.a, in.kind);
+    ASSERT_EQ(solver.last_factorization_stats().quality.degraded(),
+              in.degraded);
     Rng rng(405);
-    std::vector<real_t> single(static_cast<std::size_t>(a.ncols()));
-    for (auto& v : single) v = rng.uniform(-1, 1);
+    std::vector<real_t> x(static_cast<std::size_t>(in.a.ncols()));
+    for (auto& v : x) v = rng.uniform(-1, 1);
+    std::vector<real_t> single(x.size());
+    in.a.multiply(x, single);
     std::vector<real_t> multi = single;
-    solver.solve(single);
-    solver.solve_multi(multi, 1);
-    EXPECT_EQ(single, multi) << "kind " << static_cast<int>(kind);
+    const SolveReport rs = solver.solve(single);
+    const SolveReport rm = solver.solve_multi(multi, 1);
+    EXPECT_EQ(single, multi);
+    EXPECT_EQ(rs.degraded, in.degraded);
+    EXPECT_EQ(rm.degraded, rs.degraded);
+    EXPECT_EQ(rm.refine_iterations, rs.refine_iterations);
+    EXPECT_EQ(rm.backward_error, rs.backward_error);
   }
 }
 

@@ -23,7 +23,7 @@
 #include "mat/generators.hpp"
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
-#include "service/options_builder.hpp"
+#include "service/solve_service.hpp"
 
 namespace {
 
@@ -43,10 +43,13 @@ void check(bool ok, const char* what) {
 /// metric captured in the private registry/tracer.
 void run_workload(obs::MetricsRegistry& registry, obs::Tracer& tracer,
                   RuntimeKind runtime, int grid) {
-  OptionsBuilder b;
-  b.metrics(&registry).tracer(&tracer).runtime(runtime).threads(2).workers(
-      2);
-  service::SolveService svc(b.service_options());
+  service::ServiceOptions opts;
+  opts.solver.instr.metrics = &registry;
+  opts.solver.instr.tracer = &tracer;
+  opts.solver.runtime = runtime;
+  opts.solver.num_threads = 2;
+  opts.num_workers = 2;
+  service::SolveService svc(opts);
   const auto a = std::make_shared<const CscMatrix<real_t>>(
       gen::grid2d_laplacian(grid, grid));
   const service::FactorizeResult fr =
