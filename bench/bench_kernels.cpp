@@ -1,11 +1,12 @@
 // Microbenchmarks of the real host kernels (google-benchmark): the dense
-// BLAS substrate, the two sparse-update code paths, and the end-to-end
+// BLAS substrate, the sparse-update codelet, and the end-to-end
 // sequential factorization.  These are the numbers a host calibration
 // would feed into the simulator's CPU model.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "core/analysis.hpp"
@@ -129,9 +130,9 @@ void BM_TrsmRLT(benchmark::State& state) {
 }
 BENCHMARK(BM_TrsmRLT)->Arg(256)->Arg(1024)->Iterations(20);
 
-// The two sparse-update code paths of the paper (§V-B): contiguous GEMM +
-// scatter (CPU kernel) vs segmented GEMM straight into the gapped panel
-// (the GPU kernel's structure).
+// The sparse-update codelet on the heaviest edge of a 14^3 grid: one
+// mapped GEMM straight into the gapped panel (the paper's Fig. 3 kernel
+// with no temporary buffer).
 struct UpdateFixture {
   Analysis an = analyze(gen::grid3d_laplacian(14, 14, 14));
   FactorData<real_t> f{an.structure, Factorization::LLT};
@@ -161,27 +162,16 @@ struct UpdateFixture {
   }
 };
 
-void BM_UpdateTempBuffer(benchmark::State& state) {
+void BM_Update(benchmark::State& state) {
   static UpdateFixture fx;
   Workspace<real_t> ws;
   for (auto _ : state) {
-    apply_update(fx.f, fx.src, fx.an.structure.targets[fx.src][fx.edge],
-                 UpdateVariant::TempBuffer, ws);
+    apply_update(fx.f, fx.src, fx.an.structure.targets[fx.src][fx.edge], ws);
     benchmark::DoNotOptimize(fx.f.panel_l(0));
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_UpdateTempBuffer)->Iterations(50);
-
-void BM_UpdateDirect(benchmark::State& state) {
-  static UpdateFixture fx;
-  Workspace<real_t> ws;
-  for (auto _ : state) {
-    apply_update(fx.f, fx.src, fx.an.structure.targets[fx.src][fx.edge],
-                 UpdateVariant::Direct, ws);
-    benchmark::DoNotOptimize(fx.f.panel_l(0));
-  }
-}
-BENCHMARK(BM_UpdateDirect)->Iterations(50);
+BENCHMARK(BM_Update)->Iterations(50);
 
 void BM_SequentialCholesky(benchmark::State& state) {
   const auto a = gen::grid3d_laplacian(10, 10, 10);
@@ -206,7 +196,61 @@ BENCHMARK(BM_SequentialCholesky)->Iterations(3);
 // compact GEMM conformance check against the *_ref oracle for every ISA
 // tier this host/build supports and prints the dispatch decision.  This is
 // the CI guard that the selected variant is not silently wrong on the
-// machine the benchmarks ran on.
+// machine the benchmarks ran on.  The mapped update GEMM is checked too:
+// rows in runs of 3 with gaps of 2, columns in two blocks with a
+// trapezoid, against gemm_nt_ref into a buffer subtracted through the
+// same maps, and no entry outside the written footprint may change.
+
+/// Max |error| / k of gemm_nt_mapped against the oracle at (m, n, k), or
+/// infinity when an entry outside the footprint changed.
+template <typename T>
+double verify_mapped(index_t m, index_t n, index_t kk, Rng& rng) {
+  std::vector<index_t> rows(static_cast<std::size_t>(m));
+  std::vector<index_t> cols(static_cast<std::size_t>(n));
+  std::vector<index_t> first(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < m; ++i) rows[i] = i + 2 * (i / 3);
+  const index_t block = n / 2;  // second column block starts here
+  for (index_t j = 0; j < n; ++j) {
+    cols[j] = j < block ? j : j + 3;
+    first[j] = j < block ? 0 : block;
+  }
+  const index_t ldc = m == 0 ? 1 : rows[m - 1] + 4;
+  const index_t ncols = n == 0 ? 1 : cols[n - 1] + 1;
+  std::vector<T> a(static_cast<std::size_t>(m) * kk),
+      b(static_cast<std::size_t>(n) * kk),
+      p(static_cast<std::size_t>(m) * n),
+      c0(static_cast<std::size_t>(ldc) * ncols);
+  for (auto& v : a) v = rng.scalar<T>();
+  for (auto& v : b) v = rng.scalar<T>();
+  for (auto& v : c0) v = rng.scalar<T>();
+  std::vector<T> ref = c0;
+  k::gemm_nt_ref<T>(m, n, kk, T(1), a.data(), std::max<index_t>(1, m),
+                    b.data(), std::max<index_t>(1, n), T(0), p.data(),
+                    std::max<index_t>(1, m));
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t i = first[j]; i < m; ++i) {
+      ref[rows[i] + static_cast<std::size_t>(cols[j]) * ldc] -=
+          p[i + static_cast<std::size_t>(j) * m];
+    }
+  }
+  std::vector<T> got = c0;
+  k::gemm_nt_mapped<T>(m, n, kk, a.data(), std::max<index_t>(1, m),
+                       b.data(), std::max<index_t>(1, n),
+                       {got.data(), ldc, rows.data(), cols.data(),
+                        first.data()});
+  double worst = 0.0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (ref[i] == c0[i] &&
+        std::memcmp(&got[i], &c0[i], sizeof(T)) != 0) {
+      return std::numeric_limits<double>::infinity();
+    }
+    worst = std::max(worst,
+                     static_cast<double>(magnitude<T>(got[i] - ref[i])) /
+                         std::max<index_t>(1, kk));
+  }
+  return worst;
+}
+
 template <typename T>
 bool verify_type(const char* type_name, double tol_unit) {
   const index_t sizes[] = {1, 7, 48, 96, 129};
@@ -249,6 +293,7 @@ bool verify_type(const char* type_name, double tol_unit) {
                 worst, static_cast<double>(magnitude<T>(got[i] - ref[i])) /
                            std::max<index_t>(1, kk));
           }
+          worst = std::max(worst, verify_mapped<T>(m, n, kk, rng));
         }
       }
     }

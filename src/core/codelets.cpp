@@ -71,59 +71,14 @@ T* grow(std::vector<T>& v, std::size_t n) {
   return v.data();
 }
 
-/// One side of the update along edge e, whose facing rows are the
-/// source storage rows [first_off, first_off + n): dst -= A * B^T through
-/// the edge's row map.  `a` is the source rows from map row `row0` down;
-/// `b` holds the n facing rows (leading dimension ldb).  With `trapezoid`
-/// (LL^T, LDL^T), each block's columns take the rows from that block
-/// down, since the target stores only its lower part; otherwise (LU)
-/// every block takes all rows from `row0`.
-template <typename T>
-void update_side(const SymbolicStructure& st, index_t src,
-                 const UpdateEdge& e, index_t first_off, index_t n,
-                 index_t row0, bool trapezoid, const T* a, const T* b,
-                 index_t ldb, T* dst, UpdateVariant variant,
-                 Workspace<T>& ws) {
-  const Panel& sp = st.panels[src];
-  const Panel& dp = st.panels[e.dst];
-  const std::span<const RowSegment> map = st.row_map(e);
-  const index_t m = sp.nrows - first_off - row0;
-  const index_t kk = sp.width();
-  if (m <= 0) return;
-  if (variant == UpdateVariant::TempBuffer) {
-    // One GEMM over the whole facing range (the paper's CPU kernel: GEMM
-    // into a buffer, then scatter).  For a trapezoid it also computes the
-    // rectangle above each block, which the scatter skips.
-    T* w = grow(ws.w, static_cast<std::size_t>(m) * n);
-    k::gemm_nt(m, n, kk, T(1), a, sp.nrows, b, ldb, T(0), w, m);
-    for (index_t bi = e.first_block; bi < e.last_block; ++bi) {
-      const Block& blk = sp.blocks[bi];
-      const index_t col = blk.offset - first_off;
-      const index_t r0 = trapezoid ? col : row0;
-      k::scatter_sub(map, blk.height(),
-                     w + static_cast<std::size_t>(col) * m + (r0 - row0), m,
-                     dst, dp.nrows, blk.row_begin - dp.col_begin, r0);
-    }
-  } else {
-    // One segmented GEMM per block straight into the gapped target.
-    for (index_t bi = e.first_block; bi < e.last_block; ++bi) {
-      const Block& blk = sp.blocks[bi];
-      const index_t col = blk.offset - first_off;
-      const index_t r0 = trapezoid ? col : row0;
-      k::gemm_nt_gapped(map, blk.height(), kk, T(-1), a + (r0 - row0),
-                        sp.nrows, b + col, ldb, dst, dp.nrows,
-                        blk.row_begin - dp.col_begin, r0);
-    }
-  }
-}
-
 }  // namespace
 
 template <typename T>
 void apply_update(FactorData<T>& f, index_t src, const UpdateEdge& e,
-                  UpdateVariant variant, Workspace<T>& ws) {
+                  Workspace<T>& ws) {
   const SymbolicStructure& st = f.structure();
   const Panel& sp = st.panels[src];
+  const Panel& dp = st.panels[e.dst];
   const index_t w = sp.width();
   const index_t ld = sp.nrows;
   const index_t first_off = sp.blocks[e.first_block].offset;
@@ -131,20 +86,41 @@ void apply_update(FactorData<T>& f, index_t src, const UpdateEdge& e,
                                ? sp.blocks[e.last_block].offset
                                : sp.nrows;
   const index_t n = last_off - first_off;
+  const index_t m = sp.nrows - first_off;
   SPX_ASSERT(e.map_end > e.map_begin);  // build_row_maps ran
+
+  // The map of the edge, expanded: the target row of every map row (map
+  // row 0 = source row first_off), and the target column and first map
+  // row (the block's own, for a trapezoid) of every facing column.
+  index_t* rows = grow(ws.map, static_cast<std::size_t>(m) + 2 * n);
+  index_t* cols = rows + m;
+  index_t* first = cols + n;
+  for (const RowSegment& s : st.row_map(e)) {
+    for (index_t r = 0; r < s.len; ++r) {
+      rows[s.src_offset + r] = s.dst_offset + r;
+    }
+  }
+  for (index_t bi = e.first_block; bi < e.last_block; ++bi) {
+    const Block& blk = sp.blocks[bi];
+    const index_t col = blk.offset - first_off;
+    for (index_t j = 0; j < blk.height(); ++j) {
+      cols[col + j] = blk.row_begin - dp.col_begin + j;
+      first[col + j] = col;
+    }
+  }
   const T* l = f.panel_l(src) + first_off;
 
   switch (f.kind()) {
     case Factorization::LLT:
-      update_side(st, src, e, first_off, n, 0, true, l, l, ld,
-                  f.panel_l(e.dst), variant, ws);
+      k::gemm_nt_mapped(m, n, w, l, ld, l, ld,
+                        {f.panel_l(e.dst), dp.nrows, rows, cols, first});
       break;
     case Factorization::LDLT: {
       // D-scale the facing rows now (the fused LDL^T update kernel).
       T* scaled = grow(ws.scaled, static_cast<std::size_t>(n) * w);
       k::scale_cols(n, w, l, ld, f.panel_d(src), scaled, n);
-      update_side(st, src, e, first_off, n, 0, true, l, scaled, n,
-                  f.panel_l(e.dst), variant, ws);
+      k::gemm_nt_mapped(m, n, w, l, ld, scaled, n,
+                        {f.panel_l(e.dst), dp.nrows, rows, cols, first});
       break;
     }
     case Factorization::LU: {
@@ -152,12 +128,13 @@ void apply_update(FactorData<T>& f, index_t src, const UpdateEdge& e,
       // L side: rows from the first facing block down; the columns of the
       // target it touches include its own diagonal block (both triangles,
       // since U11 of the target lives there).
-      update_side(st, src, e, first_off, n, 0, false, l, u, ld,
-                  f.panel_l(e.dst), variant, ws);
+      k::gemm_nt_mapped(m, n, w, l, ld, u, ld,
+                        {f.panel_l(e.dst), dp.nrows, rows, cols, nullptr});
       // U side: rows strictly past the facing blocks (those correspond to
       // columns beyond the target panel, i.e. its U^T part).
-      update_side(st, src, e, first_off, n, n, false, u + n, l, ld,
-                  f.panel_u(e.dst), variant, ws);
+      k::gemm_nt_mapped(m - n, n, w, u + n, ld, l, ld,
+                        {f.panel_u(e.dst), dp.nrows, rows + n, cols,
+                         nullptr});
       break;
     }
   }
@@ -166,14 +143,13 @@ void apply_update(FactorData<T>& f, index_t src, const UpdateEdge& e,
 template void factor_panel<real_t>(FactorData<real_t>&, index_t);
 template void factor_panel<complex_t>(FactorData<complex_t>&, index_t);
 template void apply_update<real_t>(FactorData<real_t>&, index_t,
-                                   const UpdateEdge&, UpdateVariant,
-                                   Workspace<real_t>&);
+                                   const UpdateEdge&, Workspace<real_t>&);
 template void apply_update<complex_t>(FactorData<complex_t>&, index_t,
-                                      const UpdateEdge&, UpdateVariant,
+                                      const UpdateEdge&,
                                       Workspace<complex_t>&);
 template void factor_panel<real32_t>(FactorData<real32_t>&, index_t);
 template void apply_update<real32_t>(FactorData<real32_t>&, index_t,
-                                     const UpdateEdge&, UpdateVariant,
+                                     const UpdateEdge&,
                                      Workspace<real32_t>&);
 
 }  // namespace spx

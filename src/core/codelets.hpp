@@ -6,24 +6,21 @@
 //   * apply_update  -- the GEMM update from one panel onto one facing
 //     panel (one task per (source, target) panel couple).
 //
-// apply_update has two code paths mirroring the paper's CPU and GPU
-// kernels: TempBuffer computes the outer product into a contiguous
-// per-worker buffer and scatters it (the CPU path, which keeps the vendor
-// GEMM shape), and Direct accumulates straight into the gapped target
-// panel (the modified-ASTRA GPU path, no extra device memory).
-//
-// TempBuffer runs one GEMM per edge and side, over the edge's whole
-// facing range (the n source rows of its facing blocks, contiguous in
-// the panel), then subtracts the buffer block column by block column
-// through the edge's row map.  For LL^T and LDL^T each block's columns
-// are scattered from that block's own row down: the rectangle above each
-// trapezoid is computed (2-7% more update flops on the benchmark
-// matrices, DESIGN.md §17) but never written.  LU's L side
-// (rows from the first facing block) and U side (rows past the last one)
-// are one GEMM each with no extra flops.  Direct keeps one segmented GEMM
-// per block and side.  Both read the row map the analysis built for the
-// edge (SymbolicStructure::row_maps), clipped at the block or side's
-// first row, so a task allocates nothing beyond growing its workspace.
+// apply_update runs one kernel on every resource -- CPU workers, the
+// emulated GPU streams, merged subtree tasks, factorize_sequential, the
+// Schur complement and the fp32 factor: per edge and side, one mapped
+// GEMM (kernels::gemm_nt_mapped) over the edge's whole facing range (the
+// n source rows of its facing blocks, contiguous in the panel), whose
+// register tiles are subtracted through the edge's row map straight into
+// the gapped target panel.  This is the paper's GPU kernel structure, a
+// GEMM with no temporary buffer (Fig. 3), applied on the CPU.  For LL^T
+// and LDL^T each block's columns take the rows from that block down: the
+// kernel skips the tiles wholly above a block's trapezoid and masks the
+// rows above it in a straddling tile.  LU's L side (rows from the first
+// facing block) and U side (rows past the last one) are one GEMM each.
+// The row map is the one the analysis built for the edge
+// (SymbolicStructure::row_maps); the task expands it into target rows and
+// columns in its workspace and allocates nothing beyond growing that.
 //
 // For LDL^T, the update needs D-scaled source rows.  Every update scales
 // its own edge's facing rows into the worker's scratch: the paper's "less
@@ -42,16 +39,11 @@
 
 namespace spx {
 
-enum class UpdateVariant {
-  TempBuffer,  ///< CPU path: contiguous GEMM + scatter
-  Direct       ///< GPU path: segmented GEMM into the gapped panel
-};
-
 /// Per-worker scratch (grown lazily, never shrunk).
 template <typename T>
 struct Workspace {
-  std::vector<T> w;        ///< outer-product buffer (TempBuffer path)
-  std::vector<T> scaled;   ///< D-scaled facing rows of an edge (LDL^T)
+  std::vector<T> scaled;      ///< D-scaled facing rows of an edge (LDL^T)
+  std::vector<index_t> map;   ///< an edge's target rows, columns, first rows
 };
 
 /// Factorizes the diagonal block of panel p and solves its off-diagonal
@@ -67,17 +59,16 @@ void factor_panel(FactorData<T>& f, index_t p);
 /// per-panel locks).
 template <typename T>
 void apply_update(FactorData<T>& f, index_t src, const UpdateEdge& e,
-                  UpdateVariant variant, Workspace<T>& ws);
+                  Workspace<T>& ws);
 
 extern template void factor_panel<real_t>(FactorData<real_t>&, index_t);
 extern template void factor_panel<complex_t>(FactorData<complex_t>&,
                                              index_t);
 extern template void apply_update<real_t>(FactorData<real_t>&, index_t,
-                                          const UpdateEdge&, UpdateVariant,
+                                          const UpdateEdge&,
                                           Workspace<real_t>&);
 extern template void apply_update<complex_t>(FactorData<complex_t>&,
                                              index_t, const UpdateEdge&,
-                                             UpdateVariant,
                                              Workspace<complex_t>&);
 
 }  // namespace spx

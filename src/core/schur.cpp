@@ -76,8 +76,7 @@ void SchurComplement<T>::compute(const CscMatrix<T>& a,
   factors_->assemble(
       build_assembly_map(st, analysis_->perm, a.colptr(), a.rowind()),
       a.values());
-  factorize_sequential(*factors_, UpdateVariant::TempBuffer,
-                       first_schur_panel_);
+  factorize_sequential(*factors_, first_schur_panel_);
 }
 
 template <typename T>

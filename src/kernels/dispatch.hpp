@@ -3,10 +3,12 @@
 // A process-wide Dispatch singleton probes CPU features once (AVX2/AVX-512
 // + FMA via cpuid on x86-64, NEON on aarch64) and selects, per scalar type,
 // the fastest packed-GEMM variant the host both supports and this build
-// compiled (kernels/microkernel_*.cpp).  Complex stays on the generic
-// in-place path in dense.cpp -- the paper's Z matrices spend their time in
-// the same real panels after amalgamation, and complex SIMD horizontal
-// shuffles are not worth the variant surface.
+// compiled (kernels/microkernel_*.cpp).  A variant holds three kernels:
+// gemm_nt, gemm_nn and the sparse update's mapped GEMM (gemm_nt_mapped).
+// Complex stays on the generic code: the streaming gemm_nt/gemm_nn in
+// dense.cpp and the portable micro-kernel's mapped GEMM -- the paper's Z
+// matrices spend their time in the same real panels after amalgamation,
+// and complex SIMD horizontal shuffles are not worth the variant surface.
 //
 // Selection order and overrides:
 //   1. `SPX_KERNEL_ISA` env: auto | generic | avx2 | avx512 | neon
@@ -20,6 +22,8 @@
 // <= 0 disables) to an external LP64 CBLAS (kernels/blas_backend.cpp);
 // everything below the crossover and every non-GEMM kernel keeps the
 // native path, and the `*_ref` kernels remain the oracle for all of it.
+// The mapped update GEMM never delegates: its write-back goes through the
+// edge's row map, which a CBLAS call cannot do.
 //
 // The decision is observable: RunStats carries `kernel_isa`/`kernel_blas`
 // per factorization, an `spx_kernel_isa_info` gauge records the startup
@@ -49,6 +53,20 @@ const char* to_string(Isa isa);
 /// the packing header into every dense-kernel consumer.
 enum class GemmShape { Nt, Nn };
 
+/// Destination of the mapped GEMM (kernels::gemm_nt_mapped): product
+/// entry (i, j) is subtracted from c[rows[i] + cols[j] * ldc], for the
+/// rows i >= first[j] only (every row when `first` is null).  `rows` and
+/// `cols` strictly increase and `first` does not decrease, which is what
+/// an update edge's row map and its blocks' trapezoids give.
+template <typename T>
+struct MappedTarget {
+  T* c = nullptr;
+  index_t ldc = 0;
+  const index_t* rows = nullptr;
+  const index_t* cols = nullptr;
+  const index_t* first = nullptr;
+};
+
 /// Function-pointer table one ISA variant fills for one scalar type.
 /// Null entries mean "not compiled into this build" (e.g. the AVX TUs on
 /// aarch64, or a toolchain without -mavx512f).
@@ -57,9 +75,16 @@ struct GemmFuncs {
   using Fn = void (*)(index_t m, index_t n, index_t k, T alpha, const T* a,
                       index_t lda, const T* b, index_t ldb, T beta, T* c,
                       index_t ldc);
+  /// dst -= A(m x k) * B(n x k)^T through dst's maps.
+  using MappedFn = void (*)(index_t m, index_t n, index_t k, const T* a,
+                            index_t lda, const T* b, index_t ldb,
+                            const MappedTarget<T>& dst);
   Fn nt = nullptr;
   Fn nn = nullptr;
-  bool available() const { return nt != nullptr && nn != nullptr; }
+  MappedFn mapped = nullptr;
+  bool available() const {
+    return nt != nullptr && nn != nullptr && mapped != nullptr;
+  }
 };
 
 class Dispatch {

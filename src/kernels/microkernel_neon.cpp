@@ -28,12 +28,14 @@ void gemm_impl(index_t m, index_t n, index_t k, T alpha, const T* a,
 
 GemmFuncs<real_t> gemm_variant_neon_d() {
   return {&gemm_impl<real_t, micro::BShape::Nt>,
-          &gemm_impl<real_t, micro::BShape::Nn>};
+          &gemm_impl<real_t, micro::BShape::Nn>,
+          &micro::mapped_gemm<real_t, Micro<real_t>>};
 }
 
 GemmFuncs<real32_t> gemm_variant_neon_s() {
   return {&gemm_impl<real32_t, micro::BShape::Nt>,
-          &gemm_impl<real32_t, micro::BShape::Nn>};
+          &gemm_impl<real32_t, micro::BShape::Nn>,
+          &micro::mapped_gemm<real32_t, Micro<real32_t>>};
 }
 
 }  // namespace spx::kernels

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "kernels/dispatch.hpp"
 
 namespace spx::kernels {
 
@@ -51,5 +52,35 @@ std::vector<RowSegment> build_row_segments(const Panel& src,
   }
   return merged;
 }
+
+// microkernel_generic.cpp
+GemmFuncs<complex_t>::MappedFn mapped_gemm_generic_z();
+
+template <typename T>
+void gemm_nt_mapped(index_t m, index_t n, index_t k, const T* a, index_t lda,
+                    const T* b, index_t ldb, const MappedTarget<T>& dst) {
+  SPX_DEBUG_ASSERT(m >= 0 && n >= 0 && k >= 0);
+  SPX_DEBUG_ASSERT(lda >= std::max<index_t>(1, m) &&
+                   ldb >= std::max<index_t>(1, n));
+  if constexpr (is_complex_v<T>) {
+    static const GemmFuncs<complex_t>::MappedFn fn = mapped_gemm_generic_z();
+    fn(m, n, k, a, lda, b, ldb, dst);
+  } else {
+    const Dispatch& d = Dispatch::instance();
+    d.variant<T>(d.active()).mapped(m, n, k, a, lda, b, ldb, dst);
+  }
+}
+
+template void gemm_nt_mapped<real_t>(index_t, index_t, index_t,
+                                     const real_t*, index_t, const real_t*,
+                                     index_t, const MappedTarget<real_t>&);
+template void gemm_nt_mapped<real32_t>(index_t, index_t, index_t,
+                                       const real32_t*, index_t,
+                                       const real32_t*, index_t,
+                                       const MappedTarget<real32_t>&);
+template void gemm_nt_mapped<complex_t>(index_t, index_t, index_t,
+                                        const complex_t*, index_t,
+                                        const complex_t*, index_t,
+                                        const MappedTarget<complex_t>&);
 
 }  // namespace spx::kernels

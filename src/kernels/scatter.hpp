@@ -1,17 +1,21 @@
 // Row-mapping ("gap") machinery for sparse panel updates.
 //
-// An update task computes W = A_trailing * B^T, where A_trailing is the
+// An update task subtracts W = A_trailing * B^T, where A_trailing is the
 // source panel's rows from its first block facing the target and B is
-// those facing rows, and subtracts W from the facing panel, whose stored
-// rows are a *superset* arranged with gaps.  The row map of an edge
-// (RowSegment runs, built once per analysis by build_row_maps and kept
-// in SymbolicStructure::row_maps) says where each source row lands.  The
-// paper's GPU kernel (modified ASTRA GEMM) computes directly into the
-// gapped C (gemm_nt_gapped); the CPU kernel computes W into a contiguous
-// buffer with one GEMM per edge and side, then subtracts it block column
-// by block column (scatter_sub).
+// those facing rows, from the facing panel, whose stored rows are a
+// *superset* arranged with gaps.  The row map of an edge (RowSegment
+// runs, built once per analysis by build_row_maps and kept in
+// SymbolicStructure::row_maps) says where each source row lands.
 //
-// Both kernels take the map of the whole edge plus a starting map row
+// One kernel does the update on every resource: gemm_nt_mapped, the
+// paper's "no temporary buffer" GEMM (Fig. 3) on the CPU.  Each register
+// tile is stored through the map straight into the gapped target, so no
+// W is ever written; the caller expands the map into per-row and
+// per-column target indices (MappedTarget).  scatter_sub, the subtract
+// of a computed W through the map, stays as the test oracle's write-back
+// and as the calibration harness's Scatter kernel.
+//
+// scatter_sub takes the map of the whole edge plus a starting map row
 // `row0`: the rows above it are skipped and the segment straddling it is
 // clipped, which is how one map serves every block's trapezoid and the
 // LU U side (rows from the last facing block down).
@@ -22,6 +26,7 @@
 #include <vector>
 
 #include "kernels/dense.hpp"
+#include "kernels/dispatch.hpp"
 #include "symbolic/structure.hpp"
 
 namespace spx::kernels {
@@ -45,8 +50,8 @@ inline const RowSegment* first_segment_at(std::span<const RowSegment> segs,
                               });
 }
 
-/// c_dst(:, dst_col + j) -= w(:, j) for the map rows from `row0` down:
-/// the CPU "compute-then-dispatch" path.  Row 0 of w is map row `row0`.
+/// c_dst(:, dst_col + j) -= w(:, j) for the map rows from `row0` down.
+/// Row 0 of w is map row `row0`.
 template <typename T>
 void scatter_sub(std::span<const RowSegment> segs, index_t ncols,
                  const T* w, index_t ldw, T* dst, index_t lddst,
@@ -66,24 +71,13 @@ void scatter_sub(std::span<const RowSegment> segs, index_t ncols,
   }
 }
 
-/// Buffer-free path (the paper's modified-ASTRA GPU kernel): one GEMM per
-/// contiguous segment from map row `row0` down, accumulating straight
-/// into the gapped target.  `a` addresses map row `row0` of the source
-/// panel (leading dimension lda).
+/// dst -= A(m x k) * B(n x k)^T through dst's row and column maps (see
+/// MappedTarget): the update kernel.  Real types run the active ISA
+/// tier's micro-kernel, complex the portable one.  For k <= 256 (every
+/// panel of at most max_panel_width = 128 columns) the target gets the
+/// bytes of gemm_nt into a zeroed buffer followed by the masked subtract.
 template <typename T>
-void gemm_nt_gapped(std::span<const RowSegment> segs, index_t n, index_t k,
-                    T alpha, const T* a, index_t lda, const T* b,
-                    index_t ldb, T* dst, index_t lddst, index_t dst_col,
-                    index_t row0 = 0) {
-  const RowSegment* end = segs.data() + segs.size();
-  for (const RowSegment* s = first_segment_at(segs, row0); s != end; ++s) {
-    const index_t lo = std::max(s->src_offset, row0);
-    gemm_nt(s->src_offset + s->len - lo, n, k, alpha, a + (lo - row0), lda,
-            b, ldb, T(1),
-            dst + s->dst_offset + (lo - s->src_offset) +
-                static_cast<std::size_t>(dst_col) * lddst,
-            lddst);
-  }
-}
+void gemm_nt_mapped(index_t m, index_t n, index_t k, const T* a, index_t lda,
+                    const T* b, index_t ldb, const MappedTarget<T>& dst);
 
 }  // namespace spx::kernels

@@ -209,11 +209,22 @@ std::vector<RowSegment> synthetic_segments(index_t m, index_t* dst_rows) {
   return segs;
 }
 
+/// The update kernel (kernels::gemm_nt_mapped) at (m, n, k): the rows go
+/// through the synthetic gapped map, the n columns to contiguous target
+/// columns, with no trapezoid.
 CalPoint gapped_gemm_point(index_t m, index_t n, index_t k,
                            const CalibrationOptions& o) {
   Rng rng(17 + m + n + k);
   index_t dst_rows = 0;
   const std::vector<RowSegment> segs = synthetic_segments(m, &dst_rows);
+  std::vector<index_t> rows(static_cast<std::size_t>(m));
+  for (const RowSegment& s : segs) {
+    for (index_t r = 0; r < s.len; ++r) {
+      rows[s.src_offset + r] = s.dst_offset + r;
+    }
+  }
+  std::vector<index_t> cols(static_cast<std::size_t>(n));
+  for (index_t j = 0; j < n; ++j) cols[j] = j;
   const std::size_t foot =
       sizeof(real_t) * (static_cast<std::size_t>(m) * k +
                         static_cast<std::size_t>(n) * k +
@@ -234,9 +245,9 @@ CalPoint gapped_gemm_point(index_t m, index_t n, index_t k,
   const double rate = measure_rate(
       w, o, [] {},
       [&] {
-        kernels::gemm_nt_gapped<real_t>(segs, n, k, real_t(-1),
-                                        as[idx].data(), m, bs[idx].data(),
-                                        n, dsts[idx].data(), dst_rows, 0);
+        kernels::gemm_nt_mapped<real_t>(
+            m, n, k, as[idx].data(), m, bs[idx].data(), n,
+            {dsts[idx].data(), dst_rows, rows.data(), cols.data(), nullptr});
         idx = (idx + 1) % reps;
       });
   return {shape, w, rate, o.repeat};
@@ -270,15 +281,23 @@ CalPoint scatter_point(index_t m, index_t n, const CalibrationOptions& o) {
   return {shape, w, rate, o.repeat};
 }
 
+/// The quick grid's settings: shorter repetitions, and still the median
+/// of at least five, in calibration and holdout alike, so that no single
+/// repetition decides a point.
+CalibrationOptions quick_options(const CalibrationOptions& options) {
+  CalibrationOptions o = options;
+  if (o.quick) {
+    o.repeat = std::max(o.repeat, 5);
+    o.min_seconds = std::min(o.min_seconds, 1e-3);
+  }
+  return o;
+}
+
 }  // namespace
 
 CalPoint measure_point(KernelClass c, const KernelShape& shape,
                        const CalibrationOptions& options) {
-  CalibrationOptions o = options;
-  if (o.quick) {
-    o.repeat = 2;
-    o.min_seconds = std::min(o.min_seconds, 1e-3);
-  }
+  CalibrationOptions o = quick_options(options);
   const auto m = static_cast<index_t>(shape.m);
   const auto n = static_cast<index_t>(shape.n);
   const auto k = static_cast<index_t>(shape.k);
@@ -301,11 +320,7 @@ CalPoint measure_point(KernelClass c, const KernelShape& shape,
 }
 
 PerfModel calibrate_kernels(const CalibrationOptions& options) {
-  CalibrationOptions o = options;
-  if (o.quick) {
-    o.repeat = 2;
-    o.min_seconds = std::min(o.min_seconds, 1e-3);
-  }
+  CalibrationOptions o = quick_options(options);
   const std::vector<index_t> factor_n =
       o.quick ? std::vector<index_t>{8, 48}
               : std::vector<index_t>{4, 8, 16, 32, 64, 96, 128};
@@ -394,10 +409,7 @@ PerfModel calibrate_kernels(const CalibrationOptions& options) {
       t.add(gapped_gemm_point(m, n, k, o));
     }
     t.fit();
-    // The Direct path is what GPU-stream workers execute in the real
-    // driver.  CPU workers always run TempBuffer, so no task prediction
-    // reads the CPU slot; bench_calibration's kernel holdouts still check
-    // it against the host, and models/*.json keep it.
+    // CPU workers and GPU-stream workers run the same update kernel.
     model.set_table(KernelClass::GemmNtGapped, ResourceKind::GpuStream, t);
     model.set_table(KernelClass::GemmNtGapped, ResourceKind::Cpu,
                     std::move(t));

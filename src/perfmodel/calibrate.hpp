@@ -5,12 +5,13 @@
 //
 // What is measured, per resource kind:
 //   Cpu:       potrf / ldlt / getrf diagonal factors, the panel TRSM, the
-//              TempBuffer update pair (contiguous gemm_nt + scatter);
-//   GpuStream: the buffer-free Direct path (gemm_nt_gapped) -- the kernel
-//              an emulated GPU-stream worker actually runs in the real
-//              driver.  On a host with no device this measures the same
-//              silicon as the CPU tables; retargeting at a real
-//              accelerator replaces exactly this slot.
+//              update kernel (GemmNtGapped: the mapped GEMM every update
+//              task runs), and the contiguous gemm_nt and scatter_sub;
+//   GpuStream: the same update kernel -- what an emulated GPU-stream
+//              worker runs in the real driver.  On a host with no device
+//              this measures the same silicon as the CPU table;
+//              retargeting at a real accelerator replaces exactly this
+//              slot.
 //
 // Calibration is single-threaded by design, like StarPU's: per-worker
 // rates are what dmda compares, and the history layer later absorbs any
@@ -29,7 +30,8 @@ struct CalibrationOptions {
   /// Each measurement accumulates kernel invocations until at least this
   /// much kernel time, so tiny shapes are not at the timer's mercy.
   double min_seconds = 4e-3;
-  /// Drastically reduced grid and repeat count for tests/CI smoke runs.
+  /// Reduced grid and shorter repetitions (at least 5 per point still)
+  /// for tests/CI smoke runs.
   bool quick = false;
   /// Host tag stored in the model file.
   std::string host = "host";

@@ -49,7 +49,6 @@ bool update_task_seconds(const PerfModel& model, const SymbolicStructure& st,
           ? sp.blocks[edge.last_block].offset
           : sp.nrows;
   const double n = last_off - first_off;
-  const bool lu = kind == Factorization::LU;
   double total = 0.0;
   auto add = [&](KernelClass c, const KernelShape& shape) {
     double s = 0.0;
@@ -57,44 +56,15 @@ bool update_task_seconds(const PerfModel& model, const SymbolicStructure& st,
     total += s;
     return true;
   };
-  if (res == ResourceKind::Cpu) {
-    // The executing codelet's TempBuffer path (codelets.cpp): per side,
-    // one GEMM over the edge's whole facing range, then one scatter of
-    // the entries it writes -- every block's trapezoid for the symmetric
-    // kinds, the full m x n buffer for each LU side.
-    auto add_side = [&](double m, double entries) {
-      return m <= 0.0 || (add(KernelClass::GemmNt, {m, n, w}) &&
-                          add(KernelClass::Scatter, {entries / n, n, 0.0}));
-    };
-    if (lu) {
-      const double ml = sp.nrows - first_off;
-      const double mu = sp.nrows - last_off;
-      if (!add_side(ml, ml * n) || !add_side(mu, mu * n)) return false;
-    } else {
-      double entries = 0.0;
-      for (index_t b = edge.first_block; b < edge.last_block; ++b) {
-        const Block& blk = sp.blocks[b];
-        entries += double(sp.nrows - blk.offset) * blk.height();
-      }
-      if (!add_side(sp.nrows - first_off, entries)) return false;
-    }
-  } else {
-    // The Direct path: one segmented GEMM per (block, side), with the
-    // trapezoid per block for the symmetric kinds and, for LU, m rows
-    // from the first facing block on the L side plus -- only when rows
-    // remain past the facing blocks -- the strictly-below mirror on the
-    // U side.
-    for (index_t b = edge.first_block; b < edge.last_block; ++b) {
-      const Block& blk = sp.blocks[b];
-      const double nb = blk.height();
-      const double m = sp.nrows - (lu ? first_off : blk.offset);
-      if (!add(KernelClass::GemmNtGapped, {m, nb, w})) return false;
-      if (lu && sp.nrows > last_off &&
-          !add(KernelClass::GemmNtGapped, {double(sp.nrows - last_off), nb,
-                                           w})) {
-        return false;
-      }
-    }
+  // The executing codelet (codelets.cpp), on either resource: per side,
+  // one mapped GEMM over the edge's whole facing range -- the rows from
+  // the first facing block down, and for LU also the rows past the last.
+  if (!add(KernelClass::GemmNtGapped, {double(sp.nrows - first_off), n, w})) {
+    return false;
+  }
+  if (kind == Factorization::LU && sp.nrows > last_off &&
+      !add(KernelClass::GemmNtGapped, {double(sp.nrows - last_off), n, w})) {
+    return false;
   }
   *out = total;
   return true;

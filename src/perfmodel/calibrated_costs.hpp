@@ -25,10 +25,9 @@ bool panel_task_seconds(const PerfModel& model, const SymbolicStructure& st,
                         double* out);
 
 /// Kernel-table prediction for one update task, decomposed like the
-/// executing codelet: on CPUs (the TempBuffer path), per side one GemmNt
-/// over the edge's whole facing range plus one Scatter of the entries it
-/// writes; on GPU streams (the Direct path), one GemmNtGapped per (block,
-/// side).  False when the model lacks a required table.
+/// executing codelet on either resource: per side, one GemmNtGapped (the
+/// mapped GEMM) at (m, n, w) over the edge's whole facing range.  False
+/// when the model lacks the table.
 bool update_task_seconds(const PerfModel& model, const SymbolicStructure& st,
                          Factorization kind, index_t p, index_t e,
                          ResourceKind res, double* out);

@@ -35,17 +35,17 @@
 
 namespace spx::perfmodel {
 
-/// The kernel families the calibration harness measures.  CPU workers run
-/// the TempBuffer update path (one GemmNt per edge and side + Scatter);
-/// GPU-stream workers run the buffer-free Direct path (one GemmNtGapped
-/// per block and side), matching the real driver.
+/// The kernel families the calibration harness measures.  Every update
+/// task, on a CPU worker or a GPU stream, runs one GemmNtGapped (the
+/// mapped GEMM) per edge and side, matching the real driver.  GemmNt and
+/// Scatter are measured and persisted too; no task prediction reads them.
 enum class KernelClass : std::uint8_t {
   Potrf,         ///< diagonal-block Cholesky (LLT panels)
   Ldlt,          ///< diagonal-block LDL^T (LDLT panels)
   Getrf,         ///< diagonal-block LU, no pivoting (LU panels)
   TrsmPanel,     ///< off-diagonal panel TRSM (X := X * T^{-1} shapes)
-  GemmNt,        ///< contiguous C -= A*B^T into a temp buffer (CPU path)
-  GemmNtGapped,  ///< segmented GEMM straight into the gapped panel
+  GemmNt,        ///< contiguous C -= A*B^T (the dense gemm_nt)
+  GemmNtGapped,  ///< the update's mapped GEMM into the gapped panel
   Scatter        ///< buffer scatter-subtract; a *bytes*-rate kernel
 };
 inline constexpr int kNumKernelClasses = 7;

@@ -338,9 +338,6 @@ class RealRun {
 
   void execute(const Task& t, int r, Workspace<T>& ws) {
     const Resource& res = machine_.resource(r);
-    const UpdateVariant variant = res.kind == ResourceKind::GpuStream
-                                      ? UpdateVariant::Direct
-                                      : UpdateVariant::TempBuffer;
     const SymbolicStructure& st = f_.structure();
     double& lock_wait = lock_wait_[static_cast<std::size_t>(r)];
     if (fault_ != nullptr && fault_->on_task_start()) {
@@ -354,7 +351,7 @@ class RealRun {
         factor_panel(f_, m);
         for (const UpdateEdge& e : st.targets[m]) {
           TimedLock lock(panel_locks_[e.dst], lock_wait);
-          apply_update(f_, m, e, variant, ws);
+          apply_update(f_, m, e, ws);
         }
       }
       tasks_cpu_.fetch_add(1, std::memory_order_relaxed);
@@ -370,7 +367,7 @@ class RealRun {
     // generic updates into one target, but merged subtree tasks write
     // their external targets outside that protocol.
     TimedLock lock(panel_locks_[e.dst], lock_wait);
-    apply_update(f_, t.panel, e, variant, ws);
+    apply_update(f_, t.panel, e, ws);
     if (res.kind == ResourceKind::GpuStream) {
       tasks_gpu_.fetch_add(1, std::memory_order_relaxed);
     } else {

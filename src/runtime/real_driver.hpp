@@ -9,10 +9,10 @@
 // task's handles from the engine owning their resource (blocking on
 // throttled staging transfers), release them afterwards (MSI write
 // propagation), and pump prefetches for queued device tasks so transfers
-// overlap compute.  CPU workers run the TempBuffer update kernel;
-// streams run the buffer-free (Direct) one, the code path a device would
-// run.  A CPU-only Machine with `hetero` empty builds none of this
-// machinery and pays no per-task overhead.
+// overlap compute.  CPU workers and streams run the same update kernel,
+// the mapped GEMM with no temporary buffer (core/codelets.hpp).  A
+// CPU-only Machine with `hetero` empty builds none of this machinery and
+// pays no per-task overhead.
 //
 // Thread-safety contract: the generic schedulers serialize updates into
 // the same panel via their commute gating; the native scheduler's fused

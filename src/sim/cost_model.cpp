@@ -167,8 +167,10 @@ void CostModel::precompute() {
             ldlt ? GpuGemmVariant::SparseLdlt : GpuGemmVariant::Sparse,
             gap);
         uc.gpu_demand += gpu_gemm_demand(m, nb);
-        // CPU traffic: A and W/C per block, plus the TempBuffer
-        // kernel's buffer write and scatter read.
+        // CPU traffic of the paper's CPU kernel (GEMM into a buffer,
+        // then scatter): A and W/C per block, plus the buffer write and
+        // the scatter read.  The real codelet writes no buffer; this
+        // model reproduces the paper's machine and kernels.
         uc.src_bytes += bytes_factor_ * (m * w + nb * w);
         uc.dst_bytes += bytes_factor_ * 2.0 * m * nb;
         uc.cpu_bytes += bytes_factor_ * 2.0 * m * nb;

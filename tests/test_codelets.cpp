@@ -1,14 +1,20 @@
 // apply_update at edge granularity against the per-block reference.
 //
-// The update codelet runs one GEMM per edge and side on the TempBuffer
-// path and reads the edge's row map from the analysis.  These tests run
-// it on every edge of two matrices, each time right after the source
-// panel is factored, and compare the target panel with the per-block
-// algorithm it replaced: one gemm_nt_ref per facing block into a buffer,
-// then scatter_sub through a map built for that block.  Every entry the
-// update does not own must keep its bytes -- in particular the rectangle
-// above each block's trapezoid, which the edge GEMM computes but must not
-// write back.
+// The update codelet runs one mapped GEMM per edge and side: every
+// register tile is subtracted through the edge's row map straight into
+// the target panel.  These tests run it on every edge of two matrices,
+// on every ISA tier, each time right after the source panel is factored,
+// and compare the target panel with the per-block algorithm: one
+// gemm_nt_ref per facing block into a buffer, then scatter_sub through a
+// map built for that block.  Every entry the update does not own must
+// keep its bytes -- in particular the rectangle above each block's
+// trapezoid, whose tiles the kernel skips or masks.  For real types the
+// target must also match, byte for byte, the buffered arithmetic of
+// test::buffered_update (gemm_nt into a zeroed buffer, then scatter_sub).
+//
+// Each test also counts the update sides that reach each case of the
+// kernel's write-back, judged from the structure with the largest tile
+// of any tier (MR <= 32, NR <= 8), and requires every case to occur.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +28,9 @@
 #include "core/analysis.hpp"
 #include "core/codelets.hpp"
 #include "kernels/dispatch.hpp"
+#include "kernels/microkernel.hpp"
 #include "mat/generators.hpp"
+#include "test_support.hpp"
 
 namespace spx {
 namespace {
@@ -199,12 +207,89 @@ double norm(const std::vector<T>& a) {
   return std::sqrt(s);
 }
 
+/// Update sides that reach each case of the mapped write-back.  Tiles
+/// are MR-row and NR-column aligned from the side's first map row and
+/// column, with MR in {8, 16, 32} and NR in {4, 6, 8} across the tiers.
+struct Coverage {
+  std::size_t contiguous = 0;      ///< a full tile with contiguous rows
+  std::size_t short_segments = 0;  ///< a map segment shorter than any MR
+  std::size_t straddle = 0;        ///< a block's first row inside a tile
+  std::size_t above = 0;           ///< a tile wholly above a trapezoid
+  std::size_t edge_tiles = 0;      ///< m not a multiple of any MR
+  std::size_t lu_straddle = 0;     ///< a segment across last_off (LU U)
+  std::size_t small = 0;           ///< m * n * k under the cutoff
+
+  void expect_every_case() const {
+    EXPECT_GT(contiguous, 0u);
+    EXPECT_GT(short_segments, 0u);
+    EXPECT_GT(straddle, 0u);
+    EXPECT_GT(above, 0u);
+    EXPECT_GT(edge_tiles, 0u);
+    EXPECT_GT(lu_straddle, 0u);
+    EXPECT_GT(small, 0u);
+  }
+
+  /// Records the sides of edge e of panel src (map rows from row0 down).
+  void record(const SymbolicStructure& st, index_t src, const UpdateEdge& e,
+              Factorization kind) {
+    const Panel& sp = st.panels[src];
+    const index_t first_off = sp.blocks[e.first_block].offset;
+    const index_t last_off =
+        e.last_block < static_cast<index_t>(sp.blocks.size())
+            ? sp.blocks[e.last_block].offset
+            : sp.nrows;
+    const index_t n = last_off - first_off;
+    const std::span<const RowSegment> map = st.row_map(e);
+    const bool lu = kind == Factorization::LU;
+    for (const index_t row0 : lu ? std::vector<index_t>{0, n}
+                                 : std::vector<index_t>{0}) {
+      const index_t m = sp.nrows - first_off - row0;
+      if (m <= 0) continue;
+      if (double(m) * n * sp.width() < k::micro::kSmallGemmCutoff) {
+        ++small;
+        continue;
+      }
+      if (m % 8 != 0) ++edge_tiles;
+      bool is_short = false;
+      bool is_contiguous = false;
+      for (const RowSegment& s : map) {
+        const index_t lo = std::max(s.src_offset, row0) - row0;
+        const index_t hi = s.src_offset + s.len - row0;
+        if (hi <= 0) continue;
+        if (hi - lo < 8) is_short = true;
+        if (row0 > 0 && s.src_offset < row0 && hi > 0) ++lu_straddle;
+        // A 32-aligned window of rows inside the segment, below the first
+        // row of a block with an 8-column strip (height >= 15) inside it.
+        const index_t window = (lo + 31) / 32 * 32;
+        for (index_t bi = e.first_block; bi < e.last_block; ++bi) {
+          const Block& blk = sp.blocks[bi];
+          const index_t top = lu ? 0 : blk.offset - first_off;
+          if (blk.height() >= 15 && std::max(window, (top + 31) / 32 * 32) +
+                                            32 <= hi) {
+            is_contiguous = true;
+          }
+        }
+      }
+      short_segments += is_short;
+      contiguous += is_contiguous;
+      if (lu) continue;
+      // A block's first row off every tile boundary; a block holding a
+      // whole column strip whose first row is below the first tile.
+      for (index_t bi = e.first_block + 1; bi < e.last_block; ++bi) {
+        const index_t top = sp.blocks[bi].offset - first_off;
+        if (top % 8 != 0) ++straddle;
+        if (top >= 32 && sp.blocks[bi].height() >= 15) ++above;
+      }
+    }
+  }
+};
+
 /// Factors `a` panel by panel; after each panel, runs every update edge
-/// through the reference, TempBuffer and Direct paths from the same
-/// state and compares the target panels.
+/// through the reference and the codelet from the same state and compares
+/// the target panels.
 template <typename T>
 void check_every_edge(const CscMatrix<real_t>& a, const AnalysisOptions& opts,
-                      Factorization kind) {
+                      Factorization kind, Coverage* coverage) {
   SCOPED_TRACE(to_string(kind));
   const Analysis an = analyze(a, opts);
   const SymbolicStructure& st = an.structure;
@@ -221,29 +306,29 @@ void check_every_edge(const CscMatrix<real_t>& a, const AnalysisOptions& opts,
       const std::vector<T> before = target_values(f, e.dst);
       reference_update(f, p, e);
       const std::vector<T> want = target_values(f, e.dst);
-      std::vector<T> got[2];
-      const UpdateVariant variants[2] = {UpdateVariant::TempBuffer,
-                                         UpdateVariant::Direct};
-      for (int v = 0; v < 2; ++v) {
-        set_target_values(f, e.dst, before);
-        apply_update(f, p, e, variants[v], ws);
-        got[v] = target_values(f, e.dst);
-      }
+      set_target_values(f, e.dst, before);
+      apply_update(f, p, e, ws);
+      const std::vector<T> got = target_values(f, e.dst);
       const std::vector<bool> mask = footprint(st, p, e, kind);
-      const double scale = norm(want);
-      for (int v = 0; v < 2; ++v) {
-        ASSERT_LE(norm_diff(got[v], want), tol * scale)
-            << (v == 0 ? "TempBuffer" : "Direct") << " edge " << p << "->"
-            << e.dst;
-        for (std::size_t i = 0; i < mask.size(); ++i) {
-          if (mask[i]) continue;
-          ASSERT_EQ(std::memcmp(&got[v][i], &before[i], sizeof(T)), 0)
-              << (v == 0 ? "TempBuffer" : "Direct") << " wrote entry " << i
-              << " outside the footprint of edge " << p << "->" << e.dst;
-        }
+      ASSERT_LE(norm_diff(got, want), tol * norm(want))
+          << "edge " << p << "->" << e.dst;
+      for (std::size_t i = 0; i < mask.size(); ++i) {
+        if (mask[i]) continue;
+        ASSERT_EQ(std::memcmp(&got[i], &before[i], sizeof(T)), 0)
+            << "wrote entry " << i << " outside the footprint of edge " << p
+            << "->" << e.dst;
       }
-      ASSERT_LE(norm_diff(got[0], got[1]), tol * scale)
-          << "TempBuffer vs Direct, edge " << p << "->" << e.dst;
+      if constexpr (!is_complex_v<T>) {
+        set_target_values(f, e.dst, before);
+        test::buffered_update(f, p, e);
+        const std::vector<T> buffered = target_values(f, e.dst);
+        ASSERT_EQ(std::memcmp(got.data(), buffered.data(),
+                              got.size() * sizeof(T)),
+                  0)
+            << "edge " << p << "->" << e.dst
+            << " differs from the buffered arithmetic";
+      }
+      coverage->record(st, p, e, kind);
       set_target_values(f, e.dst, want);
       ++edges;
     }
@@ -252,37 +337,51 @@ void check_every_edge(const CscMatrix<real_t>& a, const AnalysisOptions& opts,
 }
 
 template <typename T>
-void check_all_kinds(const CscMatrix<real_t>& a, const AnalysisOptions& opts) {
+void check_all_kinds(const CscMatrix<real_t>& a, const AnalysisOptions& opts,
+                     Coverage* coverage) {
   const CscMatrix<real_t> spd = spd_values(a);
-  check_every_edge<T>(spd, opts, Factorization::LLT);
-  check_every_edge<T>(spd, opts, Factorization::LDLT);
-  check_every_edge<T>(a, opts, Factorization::LU);
+  check_every_edge<T>(spd, opts, Factorization::LLT, coverage);
+  check_every_edge<T>(spd, opts, Factorization::LDLT, coverage);
+  check_every_edge<T>(a, opts, Factorization::LU, coverage);
 }
 
-/// Real and fp32 GEMMs dispatch per ISA tier: run every tier the host
-/// supports.  Complex GEMMs do not dispatch.
+/// Real and fp32 updates dispatch per ISA tier: run every tier the host
+/// supports.  Complex updates run the portable kernel.  Every analysis
+/// of `a` in `analyses` runs, and their sides together must reach every
+/// write-back case.
 template <typename T>
-void check_every_tier(const CscMatrix<real_t>& a, const AnalysisOptions& opts) {
+void check_every_tier(const CscMatrix<real_t>& a,
+                      const std::vector<AnalysisOptions>& analyses) {
+  Coverage coverage;
+  auto run = [&] {
+    for (const AnalysisOptions& opts : analyses) {
+      check_all_kinds<T>(a, opts, &coverage);
+    }
+  };
   if constexpr (std::is_same_v<T, complex_t>) {
-    check_all_kinds<T>(a, opts);
+    run();
   } else {
     for (const k::Isa isa : k::Dispatch::instance().supported()) {
       SCOPED_TRACE(k::to_string(isa));
       k::ScopedIsaOverride force(isa);
       ASSERT_TRUE(force.ok());
-      check_all_kinds<T>(a, opts);
+      run();
     }
   }
+  coverage.expect_every_case();
 }
 
 /// A 14^3 grid with its wide separator panels split into slices of at
-/// most 24 columns (edges between slices of one supernode are dense).
+/// most 24 columns (edges between slices of one supernode are dense),
+/// then with slices of at most 128 (edges facing several blocks, some
+/// far below the first).
 struct GridCase {
   CscMatrix<real_t> a = gen::grid3d_laplacian(14, 14, 14);
-  AnalysisOptions opts = [] {
-    AnalysisOptions o;
-    o.symbolic.max_panel_width = 24;
-    return o;
+  std::vector<AnalysisOptions> analyses = [] {
+    std::vector<AnalysisOptions> v(2);
+    v[0].symbolic.max_panel_width = 24;
+    v[1].symbolic.max_panel_width = 128;
+    return v;
   }();
 };
 
@@ -292,37 +391,37 @@ struct RandomCase {
     Rng rng(2202);
     return gen::random_unsym(400, 0.015, rng);
   }();
-  AnalysisOptions opts;
+  std::vector<AnalysisOptions> analyses{AnalysisOptions{}};
 };
 
 TEST(EdgeUpdate, GridRealMatchesPerBlockReference) {
   GridCase c;
-  check_every_tier<real_t>(c.a, c.opts);
+  check_every_tier<real_t>(c.a, c.analyses);
 }
 
 TEST(EdgeUpdate, GridComplexMatchesPerBlockReference) {
   GridCase c;
-  check_every_tier<complex_t>(c.a, c.opts);
+  check_every_tier<complex_t>(c.a, c.analyses);
 }
 
 TEST(EdgeUpdate, GridFp32MatchesPerBlockReference) {
   GridCase c;
-  check_every_tier<real32_t>(c.a, c.opts);
+  check_every_tier<real32_t>(c.a, c.analyses);
 }
 
 TEST(EdgeUpdate, RandomUnsymRealMatchesPerBlockReference) {
   RandomCase c;
-  check_every_tier<real_t>(c.a, c.opts);
+  check_every_tier<real_t>(c.a, c.analyses);
 }
 
 TEST(EdgeUpdate, RandomUnsymComplexMatchesPerBlockReference) {
   RandomCase c;
-  check_every_tier<complex_t>(c.a, c.opts);
+  check_every_tier<complex_t>(c.a, c.analyses);
 }
 
 TEST(EdgeUpdate, RandomUnsymFp32MatchesPerBlockReference) {
   RandomCase c;
-  check_every_tier<real32_t>(c.a, c.opts);
+  check_every_tier<real32_t>(c.a, c.analyses);
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 // End-to-end numerical tests of the sequential supernodal factorization:
-// every factorization kind, both update-kernel variants, both LDLT
-// strategies, all orderings, real and complex scalars.
+// every factorization kind, all orderings, default and narrow panels,
+// real and complex scalars.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <ostream>
 
 #include "core/sequential.hpp"
+#include "kernels/dispatch.hpp"
 #include "mat/generators.hpp"
 #include "mat/triplets.hpp"
 #include "test_support.hpp"
@@ -84,97 +85,115 @@ TEST(SeqFactor, LuRandomStructurallySymmetric) {
   EXPECT_LT(r, kTol);
 }
 
-// ---- parametrized sweep over variants and orderings -----------------
+// ---- parametrized sweep over orderings and panel widths --------------
 
 struct Config {
-  UpdateVariant variant;
   OrderingMethod ordering;
+  index_t max_panel_width;
 };
 
 /// Prints the fields: gtest's default byte dump of a Config includes its
 /// uninitialized padding, so the listed test names changed between runs.
 void PrintTo(const Config& c, std::ostream* os) {
-  static constexpr const char* kVariants[] = {"TempBuffer", "Direct"};
   static constexpr const char* kOrderings[] = {
       "NestedDissection", "MinimumDegree", "RCM", "Natural"};
-  *os << "{" << kVariants[static_cast<int>(c.variant)] << ", "
-      << kOrderings[static_cast<int>(c.ordering)] << "}";
+  *os << "{" << kOrderings[static_cast<int>(c.ordering)]
+      << ", max_panel_width=" << c.max_panel_width << "}";
+}
+
+AnalysisOptions config_options(const Config& cfg) {
+  AnalysisOptions opts;
+  opts.ordering = cfg.ordering;
+  opts.symbolic.max_panel_width = cfg.max_panel_width;
+  return opts;
 }
 
 class FactorConfigs : public ::testing::TestWithParam<Config> {};
 
 TEST_P(FactorConfigs, CholeskyResidualSmall) {
-  const Config cfg = GetParam();
-  AnalysisOptions opts;
-  opts.ordering = cfg.ordering;
   const auto a = gen::grid2d_laplacian(13, 11);
   const double r = solve_residual<real_t>(
       a, Factorization::LLT,
-      [&](FactorData<real_t>& f) { factorize_sequential(f, cfg.variant); },
-      opts);
+      [](FactorData<real_t>& f) { factorize_sequential(f); },
+      config_options(GetParam()));
   EXPECT_LT(r, kTol);
 }
 
 TEST_P(FactorConfigs, LdltResidualSmall) {
-  const Config cfg = GetParam();
-  AnalysisOptions opts;
-  opts.ordering = cfg.ordering;
   Rng rng(37);
   const auto a = gen::random_sym_indefinite(90, 0.06, rng);
   const double r = solve_residual<real_t>(
       a, Factorization::LDLT,
-      [&](FactorData<real_t>& f) { factorize_sequential(f, cfg.variant); },
-      opts);
+      [](FactorData<real_t>& f) { factorize_sequential(f); },
+      config_options(GetParam()));
   EXPECT_LT(r, kTol);
 }
 
 TEST_P(FactorConfigs, LuResidualSmall) {
-  const Config cfg = GetParam();
-  AnalysisOptions opts;
-  opts.ordering = cfg.ordering;
   const auto a = gen::convection_diffusion3d(5, 5, 4, 10.0);
   const double r = solve_residual<real_t>(
       a, Factorization::LU,
-      [&](FactorData<real_t>& f) { factorize_sequential(f, cfg.variant); },
-      opts);
+      [](FactorData<real_t>& f) { factorize_sequential(f); },
+      config_options(GetParam()));
   EXPECT_LT(r, kTol);
 }
 
 // ctest runs the first seven entries by index under the fixed names that
 // tests/CMakeLists.txt gives them; keep their order, append new ones.
+// Entries 1-3 split panels at 12 columns: more, thinner update edges.
 INSTANTIATE_TEST_SUITE_P(
     VariantsAndOrderings, FactorConfigs,
-    ::testing::Values(
-        Config{UpdateVariant::TempBuffer, OrderingMethod::NestedDissection},
-        Config{UpdateVariant::Direct, OrderingMethod::NestedDissection},
-        Config{UpdateVariant::Direct, OrderingMethod::MinimumDegree},
-        Config{UpdateVariant::Direct, OrderingMethod::RCM},
-        Config{UpdateVariant::TempBuffer, OrderingMethod::MinimumDegree},
-        Config{UpdateVariant::TempBuffer, OrderingMethod::RCM},
-        Config{UpdateVariant::TempBuffer, OrderingMethod::Natural}));
+    ::testing::Values(Config{OrderingMethod::NestedDissection, 128},
+                      Config{OrderingMethod::NestedDissection, 12},
+                      Config{OrderingMethod::MinimumDegree, 12},
+                      Config{OrderingMethod::RCM, 12},
+                      Config{OrderingMethod::MinimumDegree, 128},
+                      Config{OrderingMethod::RCM, 128},
+                      Config{OrderingMethod::Natural, 128}));
 
-// Both update variants must produce *identical* factors (same arithmetic,
-// different data movement).
+// The mapped update kernel must reproduce, byte for byte, a whole
+// factorization whose updates run the buffered arithmetic (gemm_nt into a
+// zeroed buffer, then scatter_sub), for every kind and on every ISA tier.
 TEST(SeqFactor, VariantsProduceIdenticalFactors) {
-  const auto a = gen::grid3d_laplacian(5, 5, 5);
-  const Analysis an = analyze(a);
-  const auto ap = permute_symmetric(a, an.perm);
-  FactorData<real_t> f1(an.structure, Factorization::LLT);
-  FactorData<real_t> f2(an.structure, Factorization::LLT);
-  f1.initialize(ap);
-  f2.initialize(ap);
-  factorize_sequential(f1, UpdateVariant::TempBuffer);
-  factorize_sequential(f2, UpdateVariant::Direct);
-  for (index_t p = 0; p < an.structure.num_panels(); ++p) {
-    const Panel& panel = an.structure.panels[p];
-    const real_t* l1 = f1.panel_l(p);
-    const real_t* l2 = f2.panel_l(p);
-    for (index_t j = 0; j < panel.width(); ++j) {
-      for (index_t i = j; i < panel.nrows; ++i) {  // lower part only
-        EXPECT_NEAR(l1[i + static_cast<std::size_t>(j) * panel.nrows],
-                    l2[i + static_cast<std::size_t>(j) * panel.nrows],
-                    1e-12)
-            << "panel " << p;
+  const auto a = gen::grid3d_laplacian(7, 7, 7);
+  const auto lu_a = gen::convection_diffusion3d(6, 6, 6, 20.0);
+  for (const kernels::Isa isa : kernels::Dispatch::instance().supported()) {
+    SCOPED_TRACE(kernels::to_string(isa));
+    kernels::ScopedIsaOverride force(isa);
+    ASSERT_TRUE(force.ok());
+    for (const Factorization kind :
+         {Factorization::LLT, Factorization::LDLT, Factorization::LU}) {
+      SCOPED_TRACE(to_string(kind));
+      const auto& m = kind == Factorization::LU ? lu_a : a;
+      AnalysisOptions opts;
+      opts.symbolic.max_panel_width = 24;
+      const Analysis an = analyze(m, opts);
+      const auto ap = permute_symmetric(m, an.perm);
+      FactorData<real_t> mapped(an.structure, kind);
+      FactorData<real_t> buffered(an.structure, kind);
+      mapped.initialize(ap);
+      buffered.initialize(ap);
+      factorize_sequential(mapped);
+      for (index_t p = 0; p < an.structure.num_panels(); ++p) {
+        factor_panel(buffered, p);
+        for (const UpdateEdge& e : an.structure.targets[p]) {
+          test::buffered_update(buffered, p, e);
+        }
+      }
+      for (index_t p = 0; p < an.structure.num_panels(); ++p) {
+        const Panel& panel = an.structure.panels[p];
+        const std::size_t size =
+            static_cast<std::size_t>(panel.nrows) * panel.width();
+        ASSERT_EQ(std::memcmp(mapped.panel_l(p), buffered.panel_l(p),
+                              size * sizeof(real_t)),
+                  0)
+            << "L of panel " << p;
+        if (kind == Factorization::LU) {
+          ASSERT_EQ(std::memcmp(mapped.panel_u(p), buffered.panel_u(p),
+                                size * sizeof(real_t)),
+                    0)
+              << "U of panel " << p;
+        }
       }
     }
   }
@@ -370,8 +389,8 @@ TEST(LeftLooking, BitIdenticalToRightLooking) {
   left.initialize(ap);
   // Right-looking applies the same updates in the same order per target
   // as the left-looking gather; results must match exactly.
-  factorize_sequential(right, UpdateVariant::TempBuffer);
-  factorize_sequential_left(left, UpdateVariant::TempBuffer);
+  factorize_sequential(right);
+  factorize_sequential_left(left);
   for (index_t p = 0; p < an.structure.num_panels(); ++p) {
     const Panel& panel = an.structure.panels[p];
     const real_t* lr = right.panel_l(p);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -588,6 +590,163 @@ TEST(IsaConformance, GemmAllVariantsMatchReferenceFp64) {
 
 TEST(IsaConformance, GemmAllVariantsMatchReferenceFp32) {
   run_isa_conformance_sweep<real32_t>(2e-4);
+}
+
+// ---------------------------------------------------------------------------
+// Mapped-GEMM conformance sweep: gemm_nt_mapped on every tier against
+// gemm_nt_ref into a buffer, subtracted entry by entry through the same
+// maps.  The maps reach every write-back case of every tier's tile (MR in
+// {8, 16, 32}, NR in {4, 6, 8}): contiguous tiles (identity rows), row
+// runs shorter than MR, trapezoids whose first rows straddle a tile or
+// lie wholly below one (block starts at 5 and at 40 or more), edge tiles
+// (m, n not multiples of MR, NR), products under the small-GEMM cutoff,
+// and k above kKC (two k passes).  Entries outside the footprint must keep
+// their bytes.  For real types and k <= kKC the result must also equal,
+// byte for byte, gemm_nt into a zeroed buffer followed by the subtract.
+// ---------------------------------------------------------------------------
+
+/// One mapped destination: rows, columns and (optional) first rows of an
+/// m x n product, with the target's leading dimension and column count.
+struct TestMap {
+  std::vector<index_t> rows, cols, first;
+  index_t ldc = 1, ncols = 1;
+};
+
+/// `style` 0: identity rows and columns, no trapezoid.  1: rows in runs
+/// of 3 with gaps of 2; two column blocks, the second starting at column
+/// n/2 with first row 5, and a trapezoid.  2: random row runs of 1-40
+/// with gaps of 1-3, random column blocks of 1-20 with gaps of 0-2, each
+/// block's first row its own column offset plus 40 (every block after
+/// the first has tiles wholly above it).
+TestMap make_map(index_t m, index_t n, int style, Rng& rng) {
+  TestMap t;
+  t.rows.resize(static_cast<std::size_t>(m));
+  t.cols.resize(static_cast<std::size_t>(n));
+  if (style == 0) {
+    for (index_t i = 0; i < m; ++i) t.rows[i] = i;
+    for (index_t j = 0; j < n; ++j) t.cols[j] = j;
+  } else if (style == 1) {
+    t.first.resize(static_cast<std::size_t>(n));
+    for (index_t i = 0; i < m; ++i) t.rows[i] = i + 2 * (i / 3);
+    for (index_t j = 0; j < n; ++j) {
+      t.cols[j] = j < n / 2 ? j : j + 3;
+      t.first[j] = j < n / 2 ? 0 : std::min<index_t>(5, m);
+    }
+  } else {
+    t.first.resize(static_cast<std::size_t>(n));
+    index_t r = 0;
+    for (index_t i = 0; i < m;) {
+      const index_t len = 1 + static_cast<index_t>(rng.next_below(40));
+      for (index_t q = 0; q < len && i < m; ++q) t.rows[i++] = r++;
+      r += 1 + static_cast<index_t>(rng.next_below(3));
+    }
+    index_t c = 0;
+    for (index_t j = 0; j < n;) {
+      const index_t height = 1 + static_cast<index_t>(rng.next_below(20));
+      const index_t top = j == 0 ? 0 : std::min<index_t>(j + 40, m);
+      for (index_t q = 0; q < height && j < n; ++q) {
+        t.first[j] = top;
+        t.cols[j++] = c++;
+      }
+      c += static_cast<index_t>(rng.next_below(3));
+    }
+  }
+  t.ldc = m == 0 ? 1 : t.rows[m - 1] + 3;
+  t.ncols = n == 0 ? 1 : t.cols[n - 1] + 2;
+  return t;
+}
+
+template <typename T>
+void run_mapped_conformance_sweep(double tol_unit) {
+  const index_t ms[] = {1, 3, 17, 47, 48, 49, 129, 200};
+  const index_t ns[] = {1, 3, 8, 17, 49};
+  const index_t ks[] = {1, 3, 17, 64, 300};
+  const std::vector<kernels::Isa> tiers =
+      is_complex_v<T> ? std::vector<kernels::Isa>{kernels::Isa::Generic}
+                      : kernels::Dispatch::instance().supported();
+  Rng rng(9100 + static_cast<int>(sizeof(T)));
+  for (const index_t m : ms) {
+    for (const index_t n : ns) {
+      for (const index_t kk : ks) {
+        for (int style = 0; style < 3; ++style) {
+          const TestMap map = make_map(m, n, style, rng);
+          const index_t lda = m + 5;
+          const index_t ldb = n + 3;
+          const auto a = random_matrix<T>(lda, kk, rng);
+          const auto b = random_matrix<T>(ldb, kk, rng);
+          const auto c0 = random_matrix<T>(map.ldc, map.ncols, rng);
+          std::vector<T> p(static_cast<std::size_t>(m) * n);
+          k::gemm_nt_ref<T>(m, n, kk, T(1), a.data(), lda, b.data(), ldb,
+                            T(0), p.data(), m);
+          auto subtract = [&](const std::vector<T>& prod) {
+            std::vector<T> c = c0;
+            for (index_t j = 0; j < n; ++j) {
+              for (index_t i = map.first.empty() ? 0 : map.first[j]; i < m;
+                   ++i) {
+                c[map.rows[i] +
+                  static_cast<std::size_t>(map.cols[j]) * map.ldc] -=
+                    prod[i + static_cast<std::size_t>(j) * m];
+              }
+            }
+            return c;
+          };
+          const std::vector<T> want = subtract(p);
+          std::vector<bool> owned(c0.size(), false);
+          for (index_t j = 0; j < n; ++j) {
+            for (index_t i = map.first.empty() ? 0 : map.first[j]; i < m;
+                 ++i) {
+              owned[map.rows[i] +
+                    static_cast<std::size_t>(map.cols[j]) * map.ldc] = true;
+            }
+          }
+          for (const kernels::Isa isa : tiers) {
+            kernels::ScopedIsaOverride force(isa);
+            ASSERT_TRUE(force.ok());
+            std::vector<T> got = c0;
+            k::gemm_nt_mapped<T>(
+                m, n, kk, a.data(), lda, b.data(), ldb,
+                {got.data(), map.ldc, map.rows.data(), map.cols.data(),
+                 map.first.empty() ? nullptr : map.first.data()});
+            const std::string where =
+                std::string("isa=") + kernels::to_string(isa) +
+                " m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                " k=" + std::to_string(kk) + " style=" +
+                std::to_string(style);
+            EXPECT_LT(max_diff(got, want), tol_unit * kk) << where;
+            for (std::size_t i = 0; i < got.size(); ++i) {
+              if (owned[i]) continue;
+              ASSERT_EQ(std::memcmp(&got[i], &c0[i], sizeof(T)), 0)
+                  << where << ": wrote entry " << i << " outside the map";
+            }
+            if constexpr (!is_complex_v<T>) {
+              if (kk <= 256) {
+                std::vector<T> buf(p.size());
+                k::gemm_nt<T>(m, n, kk, T(1), a.data(), lda, b.data(), ldb,
+                              T(0), buf.data(), m);
+                const std::vector<T> buffered = subtract(buf);
+                ASSERT_EQ(std::memcmp(got.data(), buffered.data(),
+                                      got.size() * sizeof(T)),
+                          0)
+                    << where << ": differs from the buffered arithmetic";
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(IsaConformance, MappedGemmAllVariantsMatchReferenceFp64) {
+  run_mapped_conformance_sweep<real_t>(1e-12);
+}
+
+TEST(IsaConformance, MappedGemmAllVariantsMatchReferenceFp32) {
+  run_mapped_conformance_sweep<real32_t>(2e-4);
+}
+
+TEST(IsaConformance, MappedGemmMatchesReferenceComplex) {
+  run_mapped_conformance_sweep<complex_t>(1e-12);
 }
 
 TEST(IsaConformance, ForceRejectsUnsupportedTier) {

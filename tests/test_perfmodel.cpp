@@ -58,6 +58,9 @@ PerfModel two_speed_model(double cpu_rate, double gpu_rate) {
   m.set_table(KernelClass::Scatter, ResourceKind::Cpu,
               flat_table(KernelClass::Scatter, {2, 2, 0}, {8192, 512, 0},
                          cpu_rate));
+  m.set_table(KernelClass::GemmNtGapped, ResourceKind::Cpu,
+              flat_table(KernelClass::GemmNtGapped, {2, 2, 2},
+                         {4096, 512, 512}, cpu_rate));
   m.set_table(KernelClass::GemmNtGapped, ResourceKind::GpuStream,
               flat_table(KernelClass::GemmNtGapped, {2, 2, 2},
                          {4096, 512, 512}, gpu_rate));
