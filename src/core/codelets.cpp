@@ -95,11 +95,7 @@ void apply_update(FactorData<T>& f, index_t src, const UpdateEdge& e,
   index_t* rows = grow(ws.map, static_cast<std::size_t>(m) + 2 * n);
   index_t* cols = rows + m;
   index_t* first = cols + n;
-  for (const RowSegment& s : st.row_map(e)) {
-    for (index_t r = 0; r < s.len; ++r) {
-      rows[s.src_offset + r] = s.dst_offset + r;
-    }
-  }
+  k::expand_row_map(st.row_map(e), rows);
   for (index_t bi = e.first_block; bi < e.last_block; ++bi) {
     const Block& blk = sp.blocks[bi];
     const index_t col = blk.offset - first_off;

@@ -5,10 +5,10 @@
 // the fastest packed-GEMM variant the host both supports and this build
 // compiled (kernels/microkernel_*.cpp).  A variant holds three kernels:
 // gemm_nt, gemm_nn and the sparse update's mapped GEMM (gemm_nt_mapped).
-// Complex stays on the generic code: the streaming gemm_nt/gemm_nn in
-// dense.cpp and the portable micro-kernel's mapped GEMM -- the paper's Z
-// matrices spend their time in the same real panels after amalgamation,
-// and complex SIMD horizontal shuffles are not worth the variant surface.
+// Complex stays on the generic in-place path in dense.cpp, its mapped
+// GEMM included (kernels/scatter.cpp) -- the paper's Z matrices spend
+// their time in the same real panels after amalgamation, and complex SIMD
+// horizontal shuffles are not worth the variant surface.
 //
 // Selection order and overrides:
 //   1. `SPX_KERNEL_ISA` env: auto | generic | avx2 | avx512 | neon

@@ -1,8 +1,7 @@
 // Generic (portable) packed-GEMM variant: the GenericMicro template
 // compiled with the build's baseline flags.  Always available; the
 // floor every other variant must beat and the fallback the dispatcher
-// uses when cpuid offers nothing better.  It also provides the complex
-// mapped GEMM, the only complex kernel built on the packed blocking.
+// uses when cpuid offers nothing better.
 #include "kernels/dispatch.hpp"
 #include "kernels/microkernel.hpp"
 
@@ -11,10 +10,6 @@ namespace {
 
 template <typename T>
 using Micro = micro::GenericMicro<T, 8, 4>;
-
-// 2x2 complex accumulators: on pmlDF and FilterV2 @0.1 the sequential
-// factorization ran 25-55% slower with a 4x4, 4x2 or 2x4 tile.
-using MicroComplex = micro::GenericMicro<complex_t, 2, 2>;
 
 template <typename T>
 void gemm_nt_impl(index_t m, index_t n, index_t k, T alpha, const T* a,
@@ -42,10 +37,6 @@ GemmFuncs<real_t> gemm_variant_generic_d() {
 GemmFuncs<real32_t> gemm_variant_generic_s() {
   return {&gemm_nt_impl<real32_t>, &gemm_nn_impl<real32_t>,
           &micro::mapped_gemm<real32_t, Micro<real32_t>>};
-}
-
-GemmFuncs<complex_t>::MappedFn mapped_gemm_generic_z() {
-  return &micro::mapped_gemm<complex_t, MicroComplex>;
 }
 
 }  // namespace spx::kernels

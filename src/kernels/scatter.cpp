@@ -53,9 +53,6 @@ std::vector<RowSegment> build_row_segments(const Panel& src,
   return merged;
 }
 
-// microkernel_generic.cpp
-GemmFuncs<complex_t>::MappedFn mapped_gemm_generic_z();
-
 template <typename T>
 void gemm_nt_mapped(index_t m, index_t n, index_t k, const T* a, index_t lda,
                     const T* b, index_t ldb, const MappedTarget<T>& dst) {
@@ -63,8 +60,21 @@ void gemm_nt_mapped(index_t m, index_t n, index_t k, const T* a, index_t lda,
   SPX_DEBUG_ASSERT(lda >= std::max<index_t>(1, m) &&
                    ldb >= std::max<index_t>(1, n));
   if constexpr (is_complex_v<T>) {
-    static const GemmFuncs<complex_t>::MappedFn fn = mapped_gemm_generic_z();
-    fn(m, n, k, a, lda, b, ldb, dst);
+    // The streaming gemm_nt into a per-thread buffer, then the subtract
+    // through the maps.
+    if (m <= 0 || n <= 0 || k <= 0) return;
+    thread_local std::vector<T> p;
+    if (p.size() < static_cast<std::size_t>(m) * n) {
+      p.resize(static_cast<std::size_t>(m) * n);
+    }
+    gemm_nt(m, n, k, T(1), a, lda, b, ldb, T(0), p.data(), m);
+    for (index_t j = 0; j < n; ++j) {
+      T* col = dst.c + static_cast<std::size_t>(dst.cols[j]) * dst.ldc;
+      const T* pc = p.data() + static_cast<std::size_t>(j) * m;
+      for (index_t i = dst.first == nullptr ? 0 : dst.first[j]; i < m; ++i) {
+        col[dst.rows[i]] -= pc[i];
+      }
+    }
   } else {
     const Dispatch& d = Dispatch::instance();
     d.variant<T>(d.active()).mapped(m, n, k, a, lda, b, ldb, dst);

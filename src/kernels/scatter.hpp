@@ -8,12 +8,14 @@
 // SymbolicStructure::row_maps) says where each source row lands.
 //
 // One kernel does the update on every resource: gemm_nt_mapped, the
-// paper's "no temporary buffer" GEMM (Fig. 3) on the CPU.  Each register
-// tile is stored through the map straight into the gapped target, so no
-// W is ever written; the caller expands the map into per-row and
-// per-column target indices (MappedTarget).  scatter_sub, the subtract
-// of a computed W through the map, stays as the test oracle's write-back
-// and as the calibration harness's Scatter kernel.
+// paper's "no temporary buffer" GEMM (Fig. 3) on the CPU.  For real types
+// each register tile is stored through the map straight into the gapped
+// target, so no W is ever written; complex computes W with the streaming
+// gemm_nt and subtracts it through the same maps.  The caller expands the
+// map into per-row and per-column target indices (expand_row_map,
+// MappedTarget).  scatter_sub, the subtract of a computed W through the
+// map, stays as the test oracle's write-back and as the calibration
+// harness's Scatter kernel.
 //
 // scatter_sub takes the map of the whole edge plus a starting map row
 // `row0`: the rows above it are skipped and the segment straddling it is
@@ -50,6 +52,16 @@ inline const RowSegment* first_segment_at(std::span<const RowSegment> segs,
                               });
 }
 
+/// rows[i] := the target storage row of map row i, for every map row of
+/// `segs`: the row map in the form MappedTarget::rows takes.
+inline void expand_row_map(std::span<const RowSegment> segs, index_t* rows) {
+  for (const RowSegment& s : segs) {
+    for (index_t r = 0; r < s.len; ++r) {
+      rows[s.src_offset + r] = s.dst_offset + r;
+    }
+  }
+}
+
 /// c_dst(:, dst_col + j) -= w(:, j) for the map rows from `row0` down.
 /// Row 0 of w is map row `row0`.
 template <typename T>
@@ -73,9 +85,10 @@ void scatter_sub(std::span<const RowSegment> segs, index_t ncols,
 
 /// dst -= A(m x k) * B(n x k)^T through dst's row and column maps (see
 /// MappedTarget): the update kernel.  Real types run the active ISA
-/// tier's micro-kernel, complex the portable one.  For k <= 256 (every
-/// panel of at most max_panel_width = 128 columns) the target gets the
-/// bytes of gemm_nt into a zeroed buffer followed by the masked subtract.
+/// tier's micro-kernel; for k <= 256 (every panel of at most
+/// max_panel_width = 128 columns) the target gets the bytes of gemm_nt
+/// into a zeroed buffer followed by the masked subtract.  Complex runs
+/// exactly that: the streaming gemm_nt into a buffer, then the subtract.
 template <typename T>
 void gemm_nt_mapped(index_t m, index_t n, index_t k, const T* a, index_t lda,
                     const T* b, index_t ldb, const MappedTarget<T>& dst);

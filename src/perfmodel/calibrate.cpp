@@ -218,11 +218,7 @@ CalPoint gapped_gemm_point(index_t m, index_t n, index_t k,
   index_t dst_rows = 0;
   const std::vector<RowSegment> segs = synthetic_segments(m, &dst_rows);
   std::vector<index_t> rows(static_cast<std::size_t>(m));
-  for (const RowSegment& s : segs) {
-    for (index_t r = 0; r < s.len; ++r) {
-      rows[s.src_offset + r] = s.dst_offset + r;
-    }
-  }
+  kernels::expand_row_map(segs, rows.data());
   std::vector<index_t> cols(static_cast<std::size_t>(n));
   for (index_t j = 0; j < n; ++j) cols[j] = j;
   const std::size_t foot =
@@ -281,15 +277,11 @@ CalPoint scatter_point(index_t m, index_t n, const CalibrationOptions& o) {
   return {shape, w, rate, o.repeat};
 }
 
-/// The quick grid's settings: shorter repetitions, and still the median
-/// of at least five, in calibration and holdout alike, so that no single
-/// repetition decides a point.
+/// The quick grid's settings: shorter repetitions, as many of them as the
+/// caller asks for, in calibration and holdout alike.
 CalibrationOptions quick_options(const CalibrationOptions& options) {
   CalibrationOptions o = options;
-  if (o.quick) {
-    o.repeat = std::max(o.repeat, 5);
-    o.min_seconds = std::min(o.min_seconds, 1e-3);
-  }
+  if (o.quick) o.min_seconds = std::min(o.min_seconds, 1e-3);
   return o;
 }
 

@@ -30,8 +30,8 @@ struct CalibrationOptions {
   /// Each measurement accumulates kernel invocations until at least this
   /// much kernel time, so tiny shapes are not at the timer's mercy.
   double min_seconds = 4e-3;
-  /// Reduced grid and shorter repetitions (at least 5 per point still)
-  /// for tests/CI smoke runs.
+  /// Reduced grid and shorter repetitions (still `repeat` of them per
+  /// point) for tests/CI smoke runs.
   bool quick = false;
   /// Host tag stored in the model file.
   std::string host = "host";

@@ -8,9 +8,10 @@
 // gemm_nt_ref per facing block into a buffer, then scatter_sub through a
 // map built for that block.  Every entry the update does not own must
 // keep its bytes -- in particular the rectangle above each block's
-// trapezoid, whose tiles the kernel skips or masks.  For real types the
-// target must also match, byte for byte, the buffered arithmetic of
-// test::buffered_update (gemm_nt into a zeroed buffer, then scatter_sub).
+// trapezoid, whose tiles the kernel skips or masks.  The target must
+// also match, byte for byte, the buffered arithmetic of
+// test::buffered_update (gemm_nt into a zeroed buffer, then scatter_sub),
+// which complex runs outright and the real kernels reproduce.
 //
 // Each test also counts the update sides that reach each case of the
 // kernel's write-back, judged from the structure with the largest tile
@@ -318,16 +319,14 @@ void check_every_edge(const CscMatrix<real_t>& a, const AnalysisOptions& opts,
             << "wrote entry " << i << " outside the footprint of edge " << p
             << "->" << e.dst;
       }
-      if constexpr (!is_complex_v<T>) {
-        set_target_values(f, e.dst, before);
-        test::buffered_update(f, p, e);
-        const std::vector<T> buffered = target_values(f, e.dst);
-        ASSERT_EQ(std::memcmp(got.data(), buffered.data(),
-                              got.size() * sizeof(T)),
-                  0)
-            << "edge " << p << "->" << e.dst
-            << " differs from the buffered arithmetic";
-      }
+      set_target_values(f, e.dst, before);
+      test::buffered_update(f, p, e);
+      const std::vector<T> buffered = target_values(f, e.dst);
+      ASSERT_EQ(std::memcmp(got.data(), buffered.data(),
+                            got.size() * sizeof(T)),
+                0)
+          << "edge " << p << "->" << e.dst
+          << " differs from the buffered arithmetic";
       coverage->record(st, p, e, kind);
       set_target_values(f, e.dst, want);
       ++edges;
@@ -346,7 +345,7 @@ void check_all_kinds(const CscMatrix<real_t>& a, const AnalysisOptions& opts,
 }
 
 /// Real and fp32 updates dispatch per ISA tier: run every tier the host
-/// supports.  Complex updates run the portable kernel.  Every analysis
+/// supports.  Complex updates run the streaming kernel.  Every analysis
 /// of `a` in `analyses` runs, and their sides together must reach every
 /// write-back case.
 template <typename T>

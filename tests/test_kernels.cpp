@@ -601,8 +601,9 @@ TEST(IsaConformance, GemmAllVariantsMatchReferenceFp32) {
 // lie wholly below one (block starts at 5 and at 40 or more), edge tiles
 // (m, n not multiples of MR, NR), products under the small-GEMM cutoff,
 // and k above kKC (two k passes).  Entries outside the footprint must keep
-// their bytes.  For real types and k <= kKC the result must also equal,
-// byte for byte, gemm_nt into a zeroed buffer followed by the subtract.
+// their bytes.  For complex types, and for real types with k <= kKC, the
+// result must also equal, byte for byte, gemm_nt into a zeroed buffer
+// followed by the subtract.
 // ---------------------------------------------------------------------------
 
 /// One mapped destination: rows, columns and (optional) first rows of an
@@ -718,17 +719,15 @@ void run_mapped_conformance_sweep(double tol_unit) {
               ASSERT_EQ(std::memcmp(&got[i], &c0[i], sizeof(T)), 0)
                   << where << ": wrote entry " << i << " outside the map";
             }
-            if constexpr (!is_complex_v<T>) {
-              if (kk <= 256) {
-                std::vector<T> buf(p.size());
-                k::gemm_nt<T>(m, n, kk, T(1), a.data(), lda, b.data(), ldb,
-                              T(0), buf.data(), m);
-                const std::vector<T> buffered = subtract(buf);
-                ASSERT_EQ(std::memcmp(got.data(), buffered.data(),
-                                      got.size() * sizeof(T)),
-                          0)
-                    << where << ": differs from the buffered arithmetic";
-              }
+            if (is_complex_v<T> || kk <= 256) {
+              std::vector<T> buf(p.size());
+              k::gemm_nt<T>(m, n, kk, T(1), a.data(), lda, b.data(), ldb,
+                            T(0), buf.data(), m);
+              const std::vector<T> buffered = subtract(buf);
+              ASSERT_EQ(std::memcmp(got.data(), buffered.data(),
+                                    got.size() * sizeof(T)),
+                        0)
+                  << where << ": differs from the buffered arithmetic";
             }
           }
         }
