@@ -1,5 +1,6 @@
 #include "core/solver.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <thread>
 
@@ -13,6 +14,15 @@
 #include "runtime/real_driver.hpp"
 
 namespace spx {
+namespace {
+
+/// options.num_threads with 0 resolved to the hardware concurrency.
+int resolved_threads(int num_threads) {
+  if (num_threads > 0) return num_threads;
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+}  // namespace
 
 const char* to_string(RuntimeKind k) {
   switch (k) {
@@ -349,11 +359,7 @@ void Solver<T>::factorize_numeric(FactorData<T>& f, obs::SpanContext parent) {
     stats_.makespan = wall.elapsed();
     stats_.tasks_cpu = analysis_->structure.num_panels();
   } else {
-    int threads = options_.num_threads;
-    if (threads <= 0) {
-      threads = static_cast<int>(std::thread::hardware_concurrency());
-      if (threads <= 0) threads = 1;
-    }
+    const int threads = resolved_threads(options_.num_threads);
     TaskTable table(analysis_->structure, kind);
     RealDriverOptions dopts;
     // Inherit the instrumentation layer; driver spans (driver.run and the
@@ -427,11 +433,21 @@ void Solver<T>::factorize_numeric(FactorData<T>& f, obs::SpanContext parent) {
 }
 
 template <typename T>
+int Solver<T>::solve_threads() const {
+  if (options_.runtime == RuntimeKind::Sequential) return 1;
+  // The solve's workers spin while they wait, so more of them than cores
+  // would only take turns.
+  return std::min(resolved_threads(options_.num_threads),
+                  resolved_threads(0));
+}
+
+template <typename T>
 void Solver<T>::direct_solve(const FactorVersion<T>& v,
                              std::span<T> b) const {
   std::vector<T> pb(b.size());
   permute_vector<T>(analysis_->perm, b, pb);
-  solve_permuted(v.factors, std::span<T>(pb));
+  solve_permuted_multi(v.factors, pb.data(), 1,
+                       static_cast<index_t>(pb.size()), solve_threads());
   unpermute_vector<T>(analysis_->perm, pb, b);
 }
 
@@ -498,7 +514,9 @@ SolveReport Solver<T>::solve_multi(std::span<T> b, index_t nrhs,
                       std::span<const T>(b.data() + std::size_t(c) * n, n),
                       std::span<T>(pb.data() + std::size_t(c) * n, n));
   }
-  solve_permuted_multi(v->factors, pb.data(), nrhs, n);
+  solve_permuted_multi(v->factors, pb.data(), nrhs, n, solve_threads(),
+                       {span.active() ? options_.instr.tracer : nullptr,
+                        span.context()});
   for (index_t c = 0; c < nrhs; ++c) {
     unpermute_vector<T>(analysis_->perm,
                         std::span<const T>(pb.data() + std::size_t(c) * n, n),

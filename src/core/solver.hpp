@@ -69,6 +69,12 @@ struct SolverOptions {
   AnalysisOptions analysis;
   RuntimeKind runtime = RuntimeKind::Native;
   /// Worker threads for the task runtimes (0 = hardware concurrency).
+  /// Under a task runtime, solves use them too: a solve with enough
+  /// factor entries x nrhs runs its triangular sweeps as a panel DAG on
+  /// the calling thread plus num_threads - 1 helper threads started for
+  /// the call (at most one thread per core; DESIGN.md §16), and returns
+  /// the bytes the one-thread sweeps would.  The Sequential runtime
+  /// solves on the calling thread alone.
   int num_threads = 0;
   /// Heterogeneous execution through the device-engine layer: one
   /// emulated accelerator per entry in `hetero.devices`, with throttled
@@ -281,6 +287,9 @@ class Solver {
   void finish_numeric(FactorVersion<T>& v, const CscMatrix<T>& a);
   /// Registry bumps of solve_multi().
   void note_solve_metrics(index_t nrhs, const SolveReport& report) const;
+  /// Threads a solve runs on: 1 on the Sequential runtime, else
+  /// num_threads (0 = hardware concurrency), at most one per core.
+  int solve_threads() const;
   /// Plain substitution (no refinement) on a permuted-consistent rhs.
   void direct_solve(const FactorVersion<T>& v, std::span<T> b) const;
   /// Iterative refinement of x, a direct solve of b0, against `a`:

@@ -33,6 +33,8 @@ std::size_t AnalysisCache::analysis_bytes(const Analysis& an) {
   b += st.targets.capacity() * sizeof(std::vector<UpdateEdge>);
   for (const auto& t : st.targets) b += t.capacity() * sizeof(UpdateEdge);
   b += st.row_map_bytes();
+  b += st.source_begin.capacity() * sizeof(index_t);
+  b += st.sources.capacity() * sizeof(SourceEdge);
   return b;
 }
 

@@ -69,7 +69,10 @@ struct ServiceOptions {
   /// default is the sequential runtime: the service scales by running
   /// many requests concurrently, one worker each, rather than nesting
   /// thread pools.  Configure Native/Starpu/Parsec + num_threads for
-  /// few-large-requests workloads.
+  /// few-large-requests workloads; the service then runs up to
+  /// num_workers x num_threads threads, during factorizations and
+  /// during large solves alike (a task runtime's solve runs on the
+  /// worker plus num_threads - 1 helpers).
   SolverOptions solver;
   /// Total factorize attempts per request (1 disables retries).  Only
   /// transient-or-absorbable failures retry: numerical breakdown (with an

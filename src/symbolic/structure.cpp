@@ -268,7 +268,21 @@ SymbolicStructure build_structure(const SupernodePartition& part,
 }
 
 void build_row_maps(SymbolicStructure& st) {
+  const auto np = static_cast<std::size_t>(st.num_panels());
   st.row_maps.clear();
+  st.source_begin.assign(np + 1, 0);
+  st.sources.resize(static_cast<std::size_t>(st.num_update_tasks()));
+  for (std::size_t p = 0; p < np; ++p) {
+    st.source_begin[p + 1] = st.source_begin[p] + st.in_degree[p];
+  }
+  // Panels are visited in ascending order, so each panel's in-edges land
+  // in ascending source order.
+  std::vector<index_t> next(st.source_begin.begin(), st.source_begin.end() - 1);
+  for (index_t p = 0; p < st.num_panels(); ++p) {
+    for (index_t e = 0; e < static_cast<index_t>(st.targets[p].size()); ++e) {
+      st.sources[next[st.targets[p][e].dst]++] = {p, e};
+    }
+  }
   for (index_t p = 0; p < st.num_panels(); ++p) {
     const Panel& sp = st.panels[p];
     for (UpdateEdge& e : st.targets[p]) {

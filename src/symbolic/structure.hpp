@@ -10,9 +10,9 @@
 //
 // The structure also carries the task-DAG adjacency (per-panel target
 // lists) used by all three runtimes, the row map of every update edge
-// (built once here and shared by every numeric factorization of the
-// analysis), and the per-task flop counts used for GFlop/s reporting and
-// the simulation cost models.
+// and every panel's in-edges (both built once here and shared by every
+// numeric factorization and solve of the analysis), and the per-task flop
+// counts used for GFlop/s reporting and the simulation cost models.
 #pragma once
 
 #include <span>
@@ -59,6 +59,12 @@ struct UpdateEdge {
   index_t map_end = 0;
 };
 
+/// An in-edge of a panel: edge `edge` of SymbolicStructure::targets[src].
+struct SourceEdge {
+  index_t src;
+  index_t edge;
+};
+
 /// One contiguous run of rows of a row map: `len` source rows starting
 /// at map row `src_offset` land at target storage rows starting at
 /// `dst_offset`.
@@ -92,6 +98,12 @@ class SymbolicStructure {
   /// offset of its first facing block, map row 0 -- onto dst's storage
   /// rows, sorted by source row.
   std::vector<RowSegment> row_maps;
+  /// In-edges of every panel, each panel's in ascending source order:
+  /// panel p's are sources[source_begin[p], source_begin[p + 1]) (set by
+  /// build_row_maps).  The parallel forward solve applies a panel's
+  /// sources in this order, the order of the one-thread sweep.
+  std::vector<index_t> source_begin;
+  std::vector<SourceEdge> sources;
   /// Total L storage in scalars (sum over panels of nrows * width).
   size_type factor_entries = 0;
   /// nnz(L) counting the diagonal block as a lower triangle (the value the
@@ -112,6 +124,13 @@ class SymbolicStructure {
   /// Bytes held by the row maps.
   std::size_t row_map_bytes() const {
     return row_maps.capacity() * sizeof(RowSegment);
+  }
+  /// In-edges of panel p (see sources).
+  std::span<const SourceEdge> sources_of(index_t p) const {
+    return {sources.data() + source_begin[static_cast<std::size_t>(p)],
+            static_cast<std::size_t>(
+                source_begin[static_cast<std::size_t>(p) + 1] -
+                source_begin[static_cast<std::size_t>(p)])};
   }
 
   /// Flops of the panel task (diag factorization + TRSM) under a given
@@ -135,10 +154,10 @@ SymbolicStructure build_structure(const SupernodePartition& part,
                                   const SupernodeForest& forest,
                                   index_t max_panel_width);
 
-/// (Re)builds st.row_maps and every edge's map range from the blocks and
-/// edges.  The structure must be valid (SymbolicStructure::validate);
-/// throws InvalidArgument when an edge's rows are missing from its
-/// target panel.
+/// (Re)builds st.row_maps, every edge's map range and the in-edge lists
+/// (source_begin, sources) from the blocks and edges.  The structure must
+/// be valid (SymbolicStructure::validate); throws InvalidArgument when an
+/// edge's rows are missing from its target panel.
 void build_row_maps(SymbolicStructure& st);
 
 }  // namespace spx

@@ -1008,8 +1008,9 @@ TEST(RuntimeStress, ConcurrentSolvesMatchSequential) {
   constexpr int kSolvesPerThread = 4;
 
   // Sequential references: one per (thread, iteration) pair, through the
-  // same code path each thread will use (single-RHS or two-column multi;
-  // their kernels differ, so each path gets its own reference).
+  // same entry point each thread will use (solve, or solve_multi on the
+  // column twice; two columns take the single-vector sweep one column at
+  // a time, so each entry point's reference is computed through it).
   std::vector<std::vector<real_t>> rhs, expect, expect_multi;
   Rng rng(95);
   for (int i = 0; i < kThreads * kSolvesPerThread; ++i) {
@@ -1051,6 +1052,57 @@ TEST(RuntimeStress, ConcurrentSolvesMatchSequential) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0)
       << "concurrent solves diverged from the sequential reference";
+}
+
+TEST(RuntimeStress, ConcurrentParallelSolvesMatchSequential) {
+  // Above the serial cutoff, a Native-runtime solver runs every solve as
+  // a panel DAG on the caller plus its own helper threads.  Several
+  // callers solving at once must each get the bytes of the Sequential
+  // runtime's one-thread sweep.
+  const auto a = gen::grid3d_laplacian(17, 17, 17);
+  SolverOptions opts;
+  opts.runtime = RuntimeKind::Sequential;
+  opts.num_threads = 2;
+  Solver<real_t> solver(opts);
+  solver.analyze(a);
+  solver.factorize(a, Factorization::LDLT);
+  ASSERT_GE(static_cast<double>(solver.analysis().structure.factor_entries),
+            kParallelSolveMinWork);
+  const index_t n = a.ncols();
+  constexpr int kCallers = 3;
+  // nrhs 1 and 8 run both sweeps as a DAG, 9 only the backward one.
+  constexpr index_t kNrhs[] = {1, 8, 9};
+
+  std::vector<std::vector<real_t>> rhs, expect;
+  Rng rng(96);
+  for (int c = 0; c < kCallers; ++c) {
+    for (const index_t nrhs : kNrhs) {
+      std::vector<real_t> b(static_cast<std::size_t>(n) * nrhs);
+      for (auto& v : b) v = rng.uniform(-1, 1);
+      std::vector<real_t> x = b;
+      solver.solve_multi(x, nrhs);
+      rhs.push_back(std::move(b));
+      expect.push_back(std::move(x));
+    }
+  }
+
+  solver.options().runtime = RuntimeKind::Native;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (std::size_t k = 0; k < std::size(kNrhs); ++k) {
+        const std::size_t r = static_cast<std::size_t>(c) * std::size(kNrhs) + k;
+        std::vector<real_t> x = rhs[r];
+        solver.solve_multi(x, kNrhs[k]);
+        if (x != expect[r]) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : callers) th.join();
+  EXPECT_EQ(mismatches.load(), 0)
+      << "concurrent threaded solves diverged from the sequential sweep";
 }
 
 TEST(RuntimeStress, SerializedBaselineMatchesNative) {

@@ -1,9 +1,10 @@
 // Solve-phase tests: single- vs multi-RHS consistency, leading-dimension
-// handling, refinement, and cross-kind coverage.
+// handling, refinement, cross-kind coverage, and solves across cores.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <functional>
 #include <stop_token>
 #include <thread>
@@ -11,6 +12,7 @@
 #include "core/sequential.hpp"
 #include "core/solver.hpp"
 #include "mat/generators.hpp"
+#include "mat/triplets.hpp"
 #include "obs/metrics.hpp"
 #include "test_support.hpp"
 
@@ -245,6 +247,160 @@ TEST(MultiRhs, SolverRejectsBadBlockSize) {
   solver.factorize(a, Factorization::LLT);
   std::vector<real_t> b(a.ncols() * 2 + 1);
   EXPECT_THROW(solver.solve_multi(b, 2), InvalidArgument);
+}
+
+// ---------- solves across cores -----------------------------------------
+
+/// nrhs around the vector/tile routing constant and the forward-DAG cut
+/// (kForwardDagMaxRhs = 8), and one column past 64.
+constexpr index_t kAcrossCoresRhs[] = {1, 2, 3, 8, 9, 64, 65};
+
+/// `a` with a decoupled [[eps, 1], [1, eps]] block appended: LDL^T meets
+/// the pivot eps there, perturbs it, and every solve refines.
+CscMatrix<real_t> with_tiny_pivot(const CscMatrix<real_t>& a, double eps) {
+  const index_t n = a.ncols();
+  Triplets<real_t> t(n + 2, n + 2);
+  for (index_t c = 0; c < n; ++c) {
+    for (size_type k = a.colptr()[static_cast<std::size_t>(c)];
+         k < a.colptr()[static_cast<std::size_t>(c) + 1]; ++k) {
+      const auto ki = static_cast<std::size_t>(k);
+      t.add(a.rowind()[ki], c, a.values()[ki]);
+    }
+  }
+  t.add(n, n, eps);
+  t.add(n + 1, n + 1, eps);
+  t.add_sym(n + 1, n, 1.0);
+  return t.to_csc();
+}
+
+/// Solves on the Sequential runtime, then on the same factors on every
+/// task runtime at 2 and 4 threads: x and the report must not change by
+/// a single bit.
+template <typename T>
+void check_across_cores(const CscMatrix<T>& a, Factorization kind,
+                        bool degraded) {
+  SolverOptions opts;
+  opts.runtime = RuntimeKind::Sequential;
+  Solver<T> solver(opts);
+  solver.analyze(a);
+  solver.factorize(a, kind);
+  ASSERT_EQ(solver.last_factorization_stats().quality.degraded(), degraded);
+  // Above the serial cutoff at every nrhs, so the task runtimes run the
+  // sweeps as a DAG.
+  ASSERT_GE(static_cast<double>(solver.analysis().structure.factor_entries),
+            kParallelSolveMinWork);
+  const index_t n = a.ncols();
+  for (const index_t nrhs : kAcrossCoresRhs) {
+    SCOPED_TRACE("nrhs " + std::to_string(nrhs));
+    Rng rng(406 + static_cast<std::uint64_t>(nrhs));
+    std::vector<T> b(static_cast<std::size_t>(n) * nrhs);
+    for (auto& v : b) v = rng.scalar<T>();
+    solver.options().runtime = RuntimeKind::Sequential;
+    std::vector<T> expect = b;
+    const SolveReport expect_report = solver.solve_multi(expect, nrhs);
+    EXPECT_EQ(expect_report.degraded, degraded);
+    for (const RuntimeKind runtime :
+         {RuntimeKind::Native, RuntimeKind::Starpu, RuntimeKind::Parsec}) {
+      for (const int threads : {2, 4}) {
+        SCOPED_TRACE(std::string(to_string(runtime)) + ", " +
+                     std::to_string(threads) + " threads");
+        solver.options().runtime = runtime;
+        solver.options().num_threads = threads;
+        std::vector<T> x = b;
+        const SolveReport report = solver.solve_multi(x, nrhs);
+        EXPECT_EQ(std::memcmp(x.data(), expect.data(), x.size() * sizeof(T)),
+                  0);
+        EXPECT_EQ(report.degraded, expect_report.degraded);
+        EXPECT_EQ(report.refine_iterations, expect_report.refine_iterations);
+        EXPECT_EQ(report.backward_error, expect_report.backward_error);
+      }
+    }
+  }
+}
+
+TEST(SolveAcrossCores, CholeskyMatchesSequentialBitwise) {
+  check_across_cores<real_t>(gen::grid3d_laplacian(17, 17, 17),
+                             Factorization::LLT, false);
+}
+
+TEST(SolveAcrossCores, LdltMatchesSequentialBitwise) {
+  check_across_cores<real_t>(gen::grid3d_laplacian(17, 17, 17),
+                             Factorization::LDLT, false);
+}
+
+TEST(SolveAcrossCores, LuMatchesSequentialBitwise) {
+  check_across_cores<real_t>(gen::convection_diffusion3d(17, 17, 17, 8.0),
+                             Factorization::LU, false);
+}
+
+TEST(SolveAcrossCores, ComplexLdltMatchesSequentialBitwise) {
+  check_across_cores<complex_t>(gen::helmholtz3d(17, 17, 17),
+                                Factorization::LDLT, false);
+}
+
+TEST(SolveAcrossCores, ComplexLuMatchesSequentialBitwise) {
+  check_across_cores<complex_t>(gen::filter3d(17, 17, 17), Factorization::LU,
+                                false);
+}
+
+TEST(SolveAcrossCores, DegradedRefinementMatchesSequentialBitwise) {
+  check_across_cores<real_t>(
+      with_tiny_pivot(gen::grid3d_laplacian(17, 17, 17), 1e-25),
+      Factorization::LDLT, true);
+}
+
+/// The spans named `name` among `spans`.
+std::vector<obs::SpanRecord> spans_named(
+    const std::vector<obs::SpanRecord>& spans, const char* name) {
+  std::vector<obs::SpanRecord> out;
+  for (const obs::SpanRecord& s : spans) {
+    if (std::strcmp(s.name, name) == 0) out.push_back(s);
+  }
+  return out;
+}
+
+TEST(SolveAcrossCores, PhaseSpansSplitTheSolveSpan) {
+  const auto a = gen::grid3d_laplacian(17, 17, 17);
+  obs::Tracer tracer;
+  SolverOptions opts;
+  opts.runtime = RuntimeKind::Sequential;
+  opts.num_threads = 2;
+  opts.instr.tracer = &tracer;
+  Solver<real_t> solver(opts);
+  solver.analyze(a);
+  solver.factorize(a, Factorization::LDLT);
+  const index_t n = a.ncols();
+  for (const RuntimeKind runtime :
+       {RuntimeKind::Sequential, RuntimeKind::Native, RuntimeKind::Starpu,
+        RuntimeKind::Parsec}) {
+    solver.options().runtime = runtime;
+    const int workers = runtime == RuntimeKind::Sequential ? 1 : 2;
+    // nrhs 1 and 8 run both sweeps as a DAG, 64 only the backward one.
+    for (const index_t nrhs : {index_t{1}, index_t{8}, index_t{64}}) {
+      SCOPED_TRACE(std::string(to_string(runtime)) + ", nrhs " +
+                   std::to_string(nrhs));
+      tracer.clear();
+      std::vector<real_t> b(static_cast<std::size_t>(n) * nrhs, 1.0);
+      solver.solve_multi(b, nrhs);
+      const std::vector<obs::SpanRecord> spans = tracer.snapshot();
+      const auto solve = spans_named(spans, "solver.solve");
+      const auto forward = spans_named(spans, "solver.solve.forward");
+      const auto backward = spans_named(spans, "solver.solve.backward");
+      ASSERT_EQ(solve.size(), 1u);
+      ASSERT_EQ(forward.size(), 1u);
+      ASSERT_EQ(backward.size(), 1u);
+      for (const obs::SpanRecord& phase : {forward[0], backward[0]}) {
+        EXPECT_EQ(phase.parent_id, solve[0].span_id);
+        EXPECT_EQ(phase.trace_id, solve[0].trace_id);
+        EXPECT_GE(phase.start, solve[0].start);
+        EXPECT_LE(phase.end, solve[0].end);
+        EXPECT_LE(phase.start, phase.end);
+      }
+      EXPECT_LE(forward[0].end, backward[0].start);
+      EXPECT_EQ(forward[0].arg0, nrhs <= kForwardDagMaxRhs ? workers : 1);
+      EXPECT_EQ(backward[0].arg0, workers);
+    }
+  }
 }
 
 // ---------- numeric-only re-factorization -------------------------------
